@@ -16,8 +16,8 @@ from .errors import (BudgetExceeded, DimensionMismatch, DimensionTooSmall,
                      WitnessVerificationFailed, ZeroColumn)
 from .frames import (Frame, FrameBounds, ScalingWeights, Tightness,
                      apply_orthogonal, apply_scaling, build_frame,
-                     frame_bounds, frame_matrix, is_tight, make_weights,
-                     numerical_rank, weights_residual)
+                     frame_bounds, is_tight, make_weights, numerical_rank,
+                     weights_residual)
 from .fmap import (FImage, OuterProductSet, QuadForm, f_frame_rank, f_image,
                    f_vector, outer_dims, pair_index, q_matrix, svec,
                    target_dim)

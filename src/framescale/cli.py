@@ -8,7 +8,8 @@ byte-identical output up to the ``timings`` field, which is excluded from
 comparisons.
 
 Exit codes: 0 success, 2 parse or format error, 3 not a frame,
-4 operation hypothesis violated, 5 enumeration budget exceeded (unknown).
+4 operation hypothesis violated, 5 enumeration budget exceeded (unknown),
+6 numerical failure (unknown).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (BudgetExceeded, DimensionMismatch, FrameFileError,
-                     HypothesisViolated, NotAFrame, TooLarge)
+                     HypothesisViolated, Infeasible, LPNumericalFailure,
+                     NotAFrame, NumericalStall, TooLarge,
+                     WitnessVerificationFailed)
 from .fmap import f_image, outer_dims
 from .frames import (Frame, ScalingWeights, apply_scaling, build_frame,
                      frame_bounds, is_tight, make_weights)
@@ -41,6 +44,7 @@ EXIT_PARSE = 2
 EXIT_NOT_A_FRAME = 3
 EXIT_HYPOTHESIS = 4
 EXIT_BUDGET = 5
+EXIT_NUMERICAL = 6
 
 
 @dataclass(frozen=True)
@@ -398,7 +402,15 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (BudgetExceeded, TooLarge) as e:
         stderr.write(f"error: {e}\n")
         return EXIT_BUDGET
+    except (LPNumericalFailure, Infeasible, NumericalStall,
+            WitnessVerificationFailed) as e:
+        stderr.write(f"error: numerical failure, result unknown: {e}\n")
+        return EXIT_NUMERICAL
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

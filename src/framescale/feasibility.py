@@ -13,9 +13,10 @@ basic feasible point of {F u = 0, sum u = 1, u >= 0} (and, for the strict
 question, the max-min-weight point).  Exactly one of the two certificates
 verifies; both are re-checked before being returned.
 
-Verdicts inside a small band around t* = 0 are flagged and, by default,
-re-decided by the exact enumeration oracle, which reproduces the whole
-decision over rational arithmetic.
+Mode ``"exact"`` runs the same programs with rational pivots.  Verdicts
+inside a small band around t* = 0 are flagged and, by default, re-decided
+that way when at most ``EXACT_CAP`` columns are active.  The decision
+never calls ``exact_oracle`` (vertex enumeration): it is the reference.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _frozen,
 
 DEFAULT_BOUNDARY_BAND = 1e-9
 DEFAULT_STRICT_THRESHOLD = 1e-10
-DEFAULT_EXACT_CAP = 12
+EXACT_CAP = 12  # most active columns an exact escalation is tried on
 
 SignWitness = namedtuple("SignWitness", "i j sign")
 ConeFlags = namedtuple("ConeFlags", "pointed polar_interior_empty")
@@ -94,6 +95,18 @@ def _active_columns(frame: Frame, subset) -> tuple:
 
 
 # --- LP assemblies ----------------------------------------------------------
+# One builder per program; its 0/1 integer constants suit float64 columns
+# and object columns of Fraction (``solve_lp_exact`` converts every entry).
+
+def _solve(g: np.ndarray, a, b, c, basis=None) -> simplex.LPResult:
+    """Solve over the number type of ``g``: rational for object arrays."""
+    if g.dtype == object:
+        res = simplex.solve_lp_exact(a, b, c, initial_basis=basis)
+        if res.x is not None:
+            res.x = np.array(res.x, dtype=object)
+        return res
+    return simplex.solve_lp(a, b, c, initial_basis=basis)
+
 
 def _separator_arrays(g: np.ndarray):
     """Standard form for the separator program.
@@ -106,24 +119,34 @@ def _separator_arrays(g: np.ndarray):
     """
     d, k = g.shape
     nvar = 2 * d + 2 + k + d
-    a = np.zeros((k + d, nvar))
-    b = np.zeros(k + d)
+    a = np.zeros((k + d, nvar), dtype=g.dtype)
+    b = np.zeros(k + d, dtype=g.dtype)
     for r in range(k):
         a[r, :d] = -g[:, r]
         a[r, d:2 * d] = g[:, r]
-        a[r, 2 * d] = 1.0
-        a[r, 2 * d + 1] = -1.0
-        a[r, 2 * d + 2 + r] = 1.0
+        a[r, 2 * d] = 1
+        a[r, 2 * d + 1] = -1
+        a[r, 2 * d + 2 + r] = 1
     for i in range(d):
-        a[k + i, i] = 1.0
-        a[k + i, d + i] = 1.0
-        a[k + i, 2 * d + 2 + k + i] = 1.0
-        b[k + i] = 1.0
-    c = np.zeros(nvar)
-    c[2 * d] = -1.0
-    c[2 * d + 1] = 1.0
+        a[k + i, i] = 1
+        a[k + i, d + i] = 1
+        a[k + i, 2 * d + 2 + k + i] = 1
+        b[k + i] = 1
+    c = np.zeros(nvar, dtype=g.dtype)
+    c[2 * d] = -1
+    c[2 * d + 1] = 1
     basis = list(range(2 * d + 2, 2 * d + 2 + k + d))
     return a, b, c, basis
+
+
+def _separator_lp(g: np.ndarray):
+    """Optimum t* and maximizing h of the separator program on columns g."""
+    a, b, c, basis = _separator_arrays(g)
+    res = _solve(g, a, b, c, basis)
+    if res.status != simplex.OPTIMAL:
+        raise LPNumericalFailure(f"separator LP ended with {res.status}")
+    d = g.shape[0]
+    return res.x[2 * d] - res.x[2 * d + 1], res.x[:d] - res.x[d:2 * d]
 
 
 def separator_search(fi: FImage, subset=None) -> tuple[float, np.ndarray]:
@@ -136,78 +159,36 @@ def separator_search(fi: FImage, subset=None) -> tuple[float, np.ndarray]:
     g = fi.columns(subset)
     if g.shape[1] == 0:
         raise ValueError("subset must be nonempty")
-    a, b, c, basis = _separator_arrays(g)
-    res = simplex.solve_lp(a, b, c, initial_basis=basis)
-    if res.status != simplex.OPTIMAL:
-        raise LPNumericalFailure(f"separator LP ended with {res.status}")
-    d = g.shape[0]
-    t_star = float(res.x[2 * d] - res.x[2 * d + 1])
-    h = res.x[:d] - res.x[d:2 * d]
-    return t_star, h
-
-
-def _separator_arrays_exact(g_cols):
-    d = len(g_cols[0])
-    k = len(g_cols)
-    nvar = 2 * d + 2 + k + d
-    zero = Fraction(0)
-    a = [[zero] * nvar for _ in range(k + d)]
-    b = [zero] * (k + d)
-    for r in range(k):
-        for i in range(d):
-            a[r][i] = -g_cols[r][i]
-            a[r][d + i] = g_cols[r][i]
-        a[r][2 * d] = Fraction(1)
-        a[r][2 * d + 1] = Fraction(-1)
-        a[r][2 * d + 2 + r] = Fraction(1)
-    for i in range(d):
-        a[k + i][i] = Fraction(1)
-        a[k + i][d + i] = Fraction(1)
-        a[k + i][2 * d + 2 + k + i] = Fraction(1)
-        b[k + i] = Fraction(1)
-    c = [zero] * nvar
-    c[2 * d] = Fraction(-1)
-    c[2 * d + 1] = Fraction(1)
-    basis = list(range(2 * d + 2, 2 * d + 2 + k + d))
-    return a, b, c, basis
-
-
-def _separator_exact(g_cols):
-    a, b, c, basis = _separator_arrays_exact(g_cols)
-    res = simplex.solve_lp_exact(a, b, c, initial_basis=basis)
-    if res.status != simplex.OPTIMAL:
-        raise LPNumericalFailure(f"exact separator LP: {res.status}")
-    d = len(g_cols[0])
-    t_star = res.x[2 * d] - res.x[2 * d + 1]
-    h = [res.x[i] - res.x[d + i] for i in range(d)]
-    return t_star, h
+    t_star, h = _separator_lp(g)
+    return float(t_star), h
 
 
 def _weights_arrays(g: np.ndarray):
+    """The normalized kernel polytope {g u = 0, sum u = 1, u >= 0}."""
     d, k = g.shape
-    a = np.vstack([g, np.ones((1, k))])
-    b = np.zeros(d + 1)
-    b[-1] = 1.0
-    c = np.zeros(k)
+    a = np.vstack([g, np.ones((1, k), dtype=g.dtype)])
+    b = np.zeros(d + 1, dtype=g.dtype)
+    b[-1] = 1
+    c = np.zeros(k, dtype=g.dtype)
     return a, b, c
 
 
 def _strict_arrays(g: np.ndarray):
-    """Max-min-weight program via v = u - s*1 >= 0 and split s."""
+    """Max-min-weight program: u = v + s*1 with v, s >= 0, maximize s.
+
+    It only runs on subsets already known to be scalable, where s = 0 is
+    feasible, so s needs no negative part.
+    """
     d, k = g.shape
-    gsum = g.sum(axis=1)
-    a = np.zeros((d + 1, k + 2))
+    a = np.zeros((d + 1, k + 1), dtype=g.dtype)
     a[:d, :k] = g
-    a[:d, k] = gsum
-    a[:d, k + 1] = -gsum
-    a[d, :k] = 1.0
-    a[d, k] = float(k)
-    a[d, k + 1] = -float(k)
-    b = np.zeros(d + 1)
-    b[-1] = 1.0
-    c = np.zeros(k + 2)
-    c[k] = -1.0
-    c[k + 1] = 1.0
+    a[:d, k] = g.sum(axis=1)
+    a[d, :k] = 1
+    a[d, k] = k
+    b = np.zeros(d + 1, dtype=g.dtype)
+    b[-1] = 1
+    c = np.zeros(k + 1, dtype=g.dtype)
+    c[k] = -1
     return a, b, c
 
 
@@ -237,8 +218,7 @@ def weight_recovery(fi: FImage, frame: Frame, subset=None,
         raise Infeasible("subset has no nonzero columns")
     g = fi.columns(active)
     if not strict:
-        a, b, c = _weights_arrays(g)
-        res = simplex.solve_lp(a, b, c)
+        res = _solve(g, *_weights_arrays(g))
         if res.status != simplex.OPTIMAL:
             raise Infeasible(f"weight recovery LP ended with {res.status}")
         w = make_weights(frame, _embed(frame, active, res.x))
@@ -246,14 +226,13 @@ def weight_recovery(fi: FImage, frame: Frame, subset=None,
             raise Infeasible(
                 f"recovered weights verify poorly: residual {w.residual:.3e}")
         return w
-    a, b, c = _strict_arrays(g)
-    res = simplex.solve_lp(a, b, c)
+    res = _solve(g, *_strict_arrays(g))
     if res.status == simplex.INFEASIBLE:
         raise Infeasible("strict weight LP infeasible")
     if res.status != simplex.OPTIMAL:
         raise LPNumericalFailure(f"strict weight LP ended with {res.status}")
     k = len(active)
-    s_star = float(res.x[k] - res.x[k + 1])
+    s_star = float(res.x[k])
     if s_star <= strict_threshold:
         raise NotStrictlyScalable(s_star)
     w = make_weights(frame, _embed(frame, active, res.x[:k] + s_star))
@@ -299,7 +278,6 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
            tol_tight: float = DEFAULT_TIGHT_TOL,
            strict_threshold: float = DEFAULT_STRICT_THRESHOLD,
            on_boundary: str = "resolve",
-           exact_cap: int = DEFAULT_EXACT_CAP,
            rational=None) -> Verdict:
     """Decide scalability of a column subset, with a verified certificate.
 
@@ -307,8 +285,9 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     verdict and can never be separated.  Non-spanning subsets come back
     non-scalable with ``spans`` False.  ``on_boundary`` controls what
     happens when t* falls in the tolerance band around 0: ``"resolve"``
-    re-decides through the exact oracle (when the subset is small enough),
-    ``"flag"`` only marks the verdict.
+    re-decides through the exact LP of mode ``"exact"`` (when the subset
+    has at most ``EXACT_CAP`` active columns), ``"flag"`` only marks the
+    verdict.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -328,9 +307,8 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     boundary = t_star != 0.0 and abs(t_star) <= band
 
     def escalate() -> Verdict | None:
-        if len(active) <= exact_cap:
-            v = exact_oracle(frame, subset, rational=rational,
-                             max_size=exact_cap)
+        if len(active) <= EXACT_CAP:
+            v = _decide_exact_lp(frame, subset, rational=rational)
             return replace(v, boundary_flag=True)
         return None
 
@@ -510,7 +488,7 @@ def _exact_spans(cols, active, n) -> bool:
 
 
 def exact_oracle(frame: Frame, subset=None, *, rational=None,
-                 max_size: int = DEFAULT_EXACT_CAP) -> Verdict:
+                 max_size: int = EXACT_CAP) -> Verdict:
     """Certificate-exact decision over rational arithmetic.
 
     The kernel of the transformed subset is computed by fraction-free
@@ -560,7 +538,7 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None,
                        boundary_flag=False, t_star=0.0, s_star=s_star,
                        subset=subset, spans=True, resolved_by="exact")
 
-    t_star, h = _separator_exact(g_cols)
+    t_star, h = _separator_lp(np.array(g_cols, dtype=object).T)
     if t_star <= 0:
         raise ArithmeticError(
             "exact routes disagree: no vertex, yet no positive separator")
@@ -572,14 +550,15 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None,
 
 
 def _decide_exact_lp(frame: Frame, subset, rational=None) -> Verdict:
-    """Mode "exact" of ``decide``: the same two-phase LP pipeline as the
-    float path, run with rational pivots so every verdict is exact."""
+    """Mode "exact" of ``decide``: the same LP programs as the float path,
+    run with rational pivots so every verdict is exact."""
     cols = exact.frame_to_fractions(frame, rational)
     active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
     if not active:
         return replace(_verdict_no_columns(subset), resolved_by="exact")
     g_cols = [exact.f_vector_exact(cols[k]) for k in active]
-    t_star, h = _separator_exact(g_cols)
+    g = np.array(g_cols, dtype=object).T
+    t_star, h = _separator_lp(g)
     if t_star > 0:
         sep = _exact_separator_package(frame, active, g_cols, t_star, h)
         return Verdict(scalable=False, strict=False, certificate=sep,
@@ -588,29 +567,18 @@ def _decide_exact_lp(frame: Frame, subset, rational=None) -> Verdict:
                        spans=_exact_spans(cols, subset, frame.n),
                        resolved_by="exact")
 
-    k = len(active)
-    d = len(g_cols[0])
-    zero = Fraction(0)
-    a = [[g_cols[j][i] for j in range(k)] for i in range(d)]
-    a.append([Fraction(1)] * k)
-    b = [zero] * d + [Fraction(1)]
-    res = simplex.solve_lp_exact(a, b, [zero] * k)
+    res = _solve(g, *_weights_arrays(g))
     if res.status != simplex.OPTIMAL:
         raise ArithmeticError("exact weight recovery contradicts t* = 0")
     u_active = list(res.x)
-
-    gsum = [sum((g_cols[j][i] for j in range(k)), zero) for i in range(d)]
-    a2 = [[g_cols[j][i] for j in range(k)] + [gsum[i], -gsum[i]]
-          for i in range(d)]
-    a2.append([Fraction(1)] * k + [Fraction(k), Fraction(-k)])
-    c2 = [zero] * k + [Fraction(-1), Fraction(1)]
-    res2 = simplex.solve_lp_exact(a2, b, c2)
-    if res2.status != simplex.OPTIMAL:
+    res = _solve(g, *_strict_arrays(g))
+    if res.status != simplex.OPTIMAL:
         raise ArithmeticError("exact strict LP failed on a scalable subset")
-    s_star = res2.x[k] - res2.x[k + 1]
+    k = len(active)
+    s_star = res.x[k]
     strict = s_star > 0
     if strict:
-        u_active = [res2.x[j] + s_star for j in range(k)]
+        u_active = list(res.x[:k] + s_star)
     w = _exact_weights_to_scaling(frame, subset, active, cols, u_active)
     return Verdict(scalable=True, strict=strict, certificate=w,
                    boundary_flag=False, t_star=float(t_star),

@@ -66,9 +66,6 @@ class Frame:
         optimal frame bounds."""
         return self.matrix @ self.matrix.T
 
-    def with_matrix(self, matrix: np.ndarray) -> "Frame":
-        return build_frame(self.n, np.asarray(matrix, dtype=float).T)
-
 
 @dataclass(frozen=True)
 class FrameBounds:
@@ -164,12 +161,6 @@ def build_frame(n: int, vectors) -> Frame:
     degenerate = bool(np.any(np.all(matrix == 0.0, axis=0)))
     return Frame(matrix=_frozen(matrix), n=n, m=len(vecs), rank=rank,
                  degenerate=degenerate)
-
-
-def frame_matrix(matrix) -> Frame:
-    """Build a frame directly from an N x M matrix."""
-    matrix = np.asarray(matrix, dtype=float)
-    return build_frame(matrix.shape[0], matrix.T)
 
 
 def frame_bounds(frame: Frame) -> FrameBounds:

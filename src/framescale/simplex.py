@@ -1,4 +1,4 @@
-"""Dense two-phase simplex with Bland's rule, in float and rational forms.
+"""Dense two-phase simplex with Bland's rule, over float64 or ``Fraction``.
 
 Problems are given in standard form
 
@@ -6,9 +6,10 @@ Problems are given in standard form
 
 with A dense and small (tens of rows and columns); everything the rest of
 the package needs fits there after adding slack/surplus variables and
-splitting free variables.  Bland's anti-cycling rule keeps both variants
-finite; the rational variant runs the same pivoting over ``Fraction``
-entries with zero tolerances, so its verdicts are exact.
+splitting free variables.  Bland's anti-cycling rule keeps the method
+finite.  One tableau routine serves both number types: ``solve_lp`` runs it
+over float64 arrays with small tolerances, ``solve_lp_exact`` over object
+arrays of ``Fraction`` with zero tolerances, so its verdicts are exact.
 
 The final basis is part of the result because the feasibility certificates
 elsewhere in the package are read off basic solutions.
@@ -32,32 +33,40 @@ DEFAULT_PIVOT_TOL = 1e-11
 DEFAULT_FEAS_TOL = 1e-9
 MAX_ITERATIONS = 20000
 
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
+
 
 @dataclass
 class LPResult:
     status: str
-    x: np.ndarray | None
-    objective: float | None
+    x: np.ndarray | list | None      # list of Fraction from solve_lp_exact
+    objective: float | Fraction | None
     basis: list | None
 
 
 def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
     pr = t[row] / t[row, col]
     coef = t[:, col].copy()
-    coef[row] = 0.0
+    coef[row] = 0
     # Skipping zero multipliers keeps exact zeros exact, which is what
     # makes the separator optimum land on literal 0.0 for scalable frames.
-    nz = coef != 0.0
+    nz = coef != 0
     if np.any(nz):
-        t[nz] -= np.outer(coef[nz], pr)
+        if t.dtype == object:
+            # A rational product costs as much when it is zero, and about
+            # half of a pivot row is zero: update only its nonzero columns.
+            cols = np.flatnonzero(pr != 0)
+            t[np.ix_(nz, cols)] -= np.outer(coef[nz], pr[cols])
+        else:
+            t[nz] -= np.outer(coef[nz], pr)
     t[row] = pr
-    if obj[col] != 0.0:
+    if obj[col] != 0:
         obj -= obj[col] * pr
     basis[row] = col
 
 
 def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
-                 cost_tol: float, pivot_tol: float) -> str:
+                 cost_tol, pivot_tol) -> str:
     """Pivot to optimality over the first ``ncols`` columns (Bland)."""
     for _ in range(MAX_ITERATIONS):
         entering = -1
@@ -73,7 +82,7 @@ def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
             return UNBOUNDED
         # b stays nonnegative in exact arithmetic; clamp float drift so a
         # ratio never goes negative.
-        ratios = np.maximum(t[rows, -1], 0.0) / col[rows]
+        ratios = np.maximum(t[rows, -1], 0) / col[rows]
         best = ratios.min()
         # Bland tie-break: among minimal ratios leave the smallest basic index.
         tied = rows[ratios <= best]
@@ -82,12 +91,72 @@ def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
     raise LPNumericalFailure("simplex iteration budget exhausted")
 
 
-def _objective_row(t: np.ndarray, basis: list, costs: np.ndarray) -> np.ndarray:
-    obj = np.concatenate([costs, [0.0]])
+def _objective_row(t: np.ndarray, basis: list, costs: np.ndarray,
+                   zero) -> np.ndarray:
+    obj = np.append(costs, zero)
     for i, bi in enumerate(basis):
-        if obj[bi] != 0.0:
+        if obj[bi] != 0:
             obj -= obj[bi] * t[i]
     return obj
+
+
+def _extract(t: np.ndarray, basis: list, c: np.ndarray, n: int,
+             zero) -> LPResult:
+    x = np.full(n, zero, dtype=t.dtype)
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = t[i, -1]
+    return LPResult(OPTIMAL, x, c @ x, list(basis))
+
+
+def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
+               zero, cost_tol, pivot_tol, feas_tol) -> LPResult:
+    """The simplex proper, on arrays whose entries are all of the type of
+    ``zero`` (float64 arrays, or object arrays of ``Fraction``)."""
+    m, n = a.shape
+    t = np.hstack([a, b.reshape(-1, 1)])
+    neg = t[:, -1] < 0
+    t[neg] *= -1
+
+    if initial_basis is not None:
+        basis = list(initial_basis)
+    else:
+        # Phase 1: artificial identity basis, minimize the artificial mass.
+        one = zero + 1
+        art = np.full((m, m), zero, dtype=t.dtype)
+        np.fill_diagonal(art, one)
+        t = np.hstack([t[:, :n], art, t[:, -1:]])
+        basis = [n + i for i in range(m)]
+        costs1 = np.concatenate([np.full(n, zero, dtype=t.dtype),
+                                 np.full(m, one, dtype=t.dtype)])
+        obj = _objective_row(t, basis, costs1, zero)
+        status = _run_simplex(t, obj, basis, n + m, cost_tol, pivot_tol)
+        if status != OPTIMAL:
+            raise LPNumericalFailure("phase 1 did not terminate at an optimum")
+        if -obj[-1] > feas_tol:
+            return LPResult(INFEASIBLE, None, None, None)
+
+        # Drive leftover artificials out of the basis; drop redundant rows.
+        keep = []
+        for i in range(m):
+            if basis[i] < n:
+                keep.append(i)
+                continue
+            pivot_col = next((j for j in range(n) if abs(t[i, j]) > pivot_tol),
+                             -1)
+            if pivot_col >= 0:
+                _pivot(t, obj, basis, i, pivot_col)
+                keep.append(i)
+        if len(keep) < m:
+            t = t[keep]
+            basis = [basis[i] for i in keep]
+        t = np.hstack([t[:, :n], t[:, -1:]])
+
+    obj = _objective_row(t, basis, c, zero)
+    status = _run_simplex(t, obj, basis, n, cost_tol, pivot_tol)
+    if status != OPTIMAL:
+        return LPResult(status, None, None, None)
+    return _extract(t, basis, c, n, zero)
 
 
 def solve_lp(a, b, c, *, initial_basis=None, cost_tol=DEFAULT_COST_TOL,
@@ -97,189 +166,24 @@ def solve_lp(a, b, c, *, initial_basis=None, cost_tol=DEFAULT_COST_TOL,
     ``initial_basis`` may name columns that already form an identity
     submatrix with a feasible basic solution; phase 1 is skipped then.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    m, n = a.shape
-    t = np.hstack([a, b.reshape(-1, 1)])
-    neg = t[:, -1] < 0.0
-    t[neg] *= -1.0
-
-    if initial_basis is not None:
-        basis = list(initial_basis)
-        obj = _objective_row(t, basis, c)
-        status = _run_simplex(t, obj, basis, n, cost_tol, pivot_tol)
-        if status != OPTIMAL:
-            return LPResult(status, None, None, None)
-        return _extract(t, basis, c, n)
-
-    # Phase 1: artificial identity basis, minimize the artificial mass.
-    art = np.eye(m)
-    t = np.hstack([t[:, :n], art, t[:, -1:]])
-    basis = [n + i for i in range(m)]
-    costs1 = np.concatenate([np.zeros(n), np.ones(m)])
-    obj = _objective_row(t, basis, costs1)
-    status = _run_simplex(t, obj, basis, n + m, cost_tol, pivot_tol)
-    if status != OPTIMAL:
-        raise LPNumericalFailure("phase 1 did not terminate at an optimum")
-    if -obj[-1] > feas_tol:
-        return LPResult(INFEASIBLE, None, None, None)
-
-    # Drive leftover artificials out of the basis; drop redundant rows.
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        pivot_col = -1
-        for j in range(n):
-            if abs(t[i, j]) > pivot_tol:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(t, obj, basis, i, pivot_col)
-            keep.append(i)
-    if len(keep) < m:
-        t = t[keep]
-        basis = [basis[i] for i in keep]
-    t = np.hstack([t[:, :n], t[:, -1:]])
-
-    obj = _objective_row(t, basis, c)
-    status = _run_simplex(t, obj, basis, n, cost_tol, pivot_tol)
-    if status != OPTIMAL:
-        return LPResult(status, None, None, None)
-    return _extract(t, basis, c, n)
+    res = _two_phase(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                     np.asarray(c, dtype=float), initial_basis, 0.0,
+                     cost_tol, pivot_tol, feas_tol)
+    if res.objective is not None:
+        res.objective = float(res.objective)
+    return res
 
 
-def _extract(t: np.ndarray, basis: list, c: np.ndarray, n: int) -> LPResult:
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = t[i, -1]
-    return LPResult(OPTIMAL, x, float(c @ x), list(basis))
-
-
-# --- rational variant -------------------------------------------------------
-
-@dataclass
-class ExactLPResult:
-    status: str
-    x: list | None
-    objective: Fraction | None
-    basis: list | None
-
-
-def _exact_pivot(t, obj, basis, row, col):
-    piv = t[row][col]
-    t[row] = [v / piv for v in t[row]]
-    pr = t[row]
-    for i, r in enumerate(t):
-        if i != row and r[col] != 0:
-            f = r[col]
-            t[i] = [v - f * p for v, p in zip(r, pr)]
-    if obj[col] != 0:
-        f = obj[col]
-        for j, p in enumerate(pr):
-            obj[j] -= f * p
-    basis[row] = col
-
-
-def _exact_run(t, obj, basis, ncols) -> str:
-    for _ in range(MAX_ITERATIONS):
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL
-        best = None
-        leaving = -1
-        for i, row in enumerate(t):
-            if row[entering] > 0:
-                ratio = row[-1] / row[entering]
-                if best is None or ratio < best or \
-                        (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            return UNBOUNDED
-        _exact_pivot(t, obj, basis, leaving, entering)
-    raise LPNumericalFailure("exact simplex iteration budget exhausted")
-
-
-def _exact_obj_row(t, basis, costs):
-    obj = list(costs) + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if obj[bi] != 0:
-            f = obj[bi]
-            row = t[i]
-            for j in range(len(obj)):
-                obj[j] -= f * row[j]
-    return obj
-
-
-def solve_lp_exact(a, b, c, *, initial_basis=None) -> ExactLPResult:
+def solve_lp_exact(a, b, c, *, initial_basis=None) -> LPResult:
     """The same two-phase simplex over ``Fraction`` entries, zero tolerance.
 
-    Inputs are nested sequences of ints/Fractions; statuses and solutions
-    are exact, so a sign read off the optimum is a proof.
+    Inputs are nested sequences or arrays of ints, floats or Fractions;
+    every entry becomes a ``Fraction``.  Statuses and solutions are exact
+    (``x`` is a list of ``Fraction``), so a sign read off the optimum is a
+    proof.
     """
-    a = [[Fraction(v) for v in row] for row in a]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    m, n = len(a), len(a[0])
-    t = []
-    for i in range(m):
-        row = list(a[i]) + [b[i]]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        t.append(row)
-
-    if initial_basis is not None:
-        basis = list(initial_basis)
-        obj = _exact_obj_row(t, basis, c)
-        status = _exact_run(t, obj, basis, n)
-        if status != OPTIMAL:
-            return ExactLPResult(status, None, None, None)
-        return _exact_extract(t, basis, c, n)
-
-    for i in range(m):
-        unit = [Fraction(0)] * m
-        unit[i] = Fraction(1)
-        t[i] = t[i][:n] + unit + t[i][-1:]
-    basis = [n + i for i in range(m)]
-    costs1 = [Fraction(0)] * n + [Fraction(1)] * m
-    obj = _exact_obj_row(t, basis, costs1)
-    status = _exact_run(t, obj, basis, n + m)
-    if status != OPTIMAL:
-        raise LPNumericalFailure("exact phase 1 did not terminate")
-    if -obj[-1] > 0:
-        return ExactLPResult(INFEASIBLE, None, None, None)
-
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        pivot_col = next((j for j in range(n) if t[i][j] != 0), -1)
-        if pivot_col >= 0:
-            _exact_pivot(t, obj, basis, i, pivot_col)
-            keep.append(i)
-    t = [t[i][:n] + t[i][-1:] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    obj = _exact_obj_row(t, basis, c)
-    status = _exact_run(t, obj, basis, n)
-    if status != OPTIMAL:
-        return ExactLPResult(status, None, None, None)
-    return _exact_extract(t, basis, c, n)
-
-
-def _exact_extract(t, basis, c, n) -> ExactLPResult:
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = t[i][-1]
-    objective = sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
-    return ExactLPResult(OPTIMAL, x, objective, list(basis))
+    a, b, c = (_to_fraction(np.array(v, dtype=object)) for v in (a, b, c))
+    res = _two_phase(a, b, c, initial_basis, Fraction(0), 0, 0, 0)
+    if res.x is not None:
+        res.x = list(res.x)
+    return res

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, WitnessVerificationFailed
-from .feasibility import (DEFAULT_EXACT_CAP, DEFAULT_STRICT_THRESHOLD,
-                          Separator, Verdict, decide, exact_oracle)
+from .feasibility import (DEFAULT_STRICT_THRESHOLD, EXACT_CAP, Separator,
+                          Verdict, decide)
 from .fmap import outer_svec_rows, svec
 from .frames import Frame, build_frame, numerical_rank
 
@@ -152,8 +152,8 @@ def nonscalable_witness(frame: Frame, epsilon: float, seed=None, *,
     matrix[:, column] += delta * direction
     perturbed = build_frame(n, matrix.T)
     verdict = decide(perturbed, mode=mode)
-    if verdict.scalable and mode == "float" and m <= DEFAULT_EXACT_CAP:
-        verdict = exact_oracle(perturbed)
+    if verdict.scalable and mode == "float" and m <= EXACT_CAP:
+        verdict = decide(perturbed, mode="exact")
     if verdict.scalable:
         raise WitnessVerificationFailed(
             "perturbed frame still decides scalable; this is a bug")

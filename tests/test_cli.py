@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -205,6 +208,39 @@ def test_exact_mode_adds_rational_strings(mercedes_file):
     from fractions import Fraction
     total = sum(Fraction(s) for s in ratio)
     assert total == 1
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("certify", "decide", fs.LPNumericalFailure),
+    ("analyze", "decide", fs.Infeasible),
+    ("analyze", "caratheodory_reduce", fs.NumericalStall),
+    ("witness", "nonscalable_witness", fs.WitnessVerificationFailed),
+])
+def test_numerical_failure_exits_6(mercedes_file, monkeypatch, command,
+                                   target, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, target, fail)
+    extra = ["--eps", "0.01"] if command == "witness" else []
+    code, out, err = run_cli([command, mercedes_file] + extra)
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error: ") and "injected" in err
+
+
+def test_module_runs_as_script():
+    from conftest import SRC
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "framescale.cli", "random", "--n", "2",
+         "--m", "3", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["n"] == 2 and len(doc["vectors"]) == 3
 
 
 # --- report properties ----------------------------------------------------------

@@ -68,6 +68,21 @@ def test_weight_recovery_strict_mercedes(mercedes):
     assert np.min(w.u) == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_strict_weights_on_scalable_10x60_frame():
+    # Phase 1 of the strict weight LP used to stop on a drifted reduced
+    # cost and report "unbounded" on this frame.
+    f = random_scalable_frame(np.random.default_rng(13), 10, 60)
+    w = fs.weight_recovery(fs.f_image(f), f, strict=True)
+    assert w.residual <= 1e-9 * w.alpha and np.min(w.u) > 1e-10
+    v = fs.decide(f)
+    assert v.scalable and v.strict
+    u = v.certificate.u
+    assert np.min(u) > 1e-10 and v.s_star == pytest.approx(np.min(u))
+    s = (f.matrix * u) @ f.matrix.T
+    assert np.max(np.abs(s - v.certificate.alpha * np.eye(10))) \
+        <= 1e-8 * v.certificate.alpha
+
+
 def test_weight_recovery_infeasible_on_separated_frame(quadrant):
     with pytest.raises((fs.Infeasible, fs.NotStrictlyScalable)):
         fs.weight_recovery(fs.f_image(quadrant), quadrant)

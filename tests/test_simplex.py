@@ -105,6 +105,10 @@ def test_exact_solution_is_rational():
     assert res.status == simplex.OPTIMAL
     assert res.objective == Fraction(1)
     assert res.x == [Fraction(0), Fraction(1), Fraction(0)]
+    # Integer inputs must not leak through as int (or, after an int/int
+    # division in a pivot, as float): every number is a Fraction.
+    assert type(res.objective) is Fraction
+    assert all(type(v) is Fraction for v in res.x)
 
 
 def test_initial_basis_skips_artificial_phase():

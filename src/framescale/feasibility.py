@@ -99,7 +99,11 @@ def _active_columns(frame: Frame, subset) -> tuple:
 # and object columns of Fraction (``solve_lp_exact`` converts every entry).
 
 def _solve(g: np.ndarray, a, b, c, basis=None) -> simplex.LPResult:
-    """Solve over the number type of ``g``: rational for object arrays."""
+    """Solve over the number type of ``g``: rational for object arrays.
+
+    ``solve_lp_exact`` keeps its public contract of returning ``x`` as a
+    list; it is turned back into an object array here so that the callers
+    can index and multiply it like the float ``x``."""
     if g.dtype == object:
         res = simplex.solve_lp_exact(a, b, c, initial_basis=basis)
         if res.x is not None:
@@ -487,8 +491,7 @@ def _exact_spans(cols, active, n) -> bool:
     return exact.rank_exact(rows) == n
 
 
-def exact_oracle(frame: Frame, subset=None, *, rational=None,
-                 max_size: int = EXACT_CAP) -> Verdict:
+def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
     """Certificate-exact decision over rational arithmetic.
 
     The kernel of the transformed subset is computed by fraction-free
@@ -510,8 +513,8 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None,
     active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
     if not active:
         return replace(_verdict_no_columns(subset), resolved_by="exact")
-    if len(active) > max_size:
-        raise TooLarge(f"{len(active)} columns exceed the exact cap {max_size}")
+    if len(active) > EXACT_CAP:
+        raise TooLarge(f"{len(active)} columns exceed the exact cap {EXACT_CAP}")
     g_cols = [exact.f_vector_exact(cols[k]) for k in active]
     g_rows = [[col[i] for col in g_cols] for i in range(len(g_cols[0]))]
 

@@ -52,13 +52,7 @@ def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
     # makes the separator optimum land on literal 0.0 for scalable frames.
     nz = coef != 0
     if np.any(nz):
-        if t.dtype == object:
-            # A rational product costs as much when it is zero, and about
-            # half of a pivot row is zero: update only its nonzero columns.
-            cols = np.flatnonzero(pr != 0)
-            t[np.ix_(nz, cols)] -= np.outer(coef[nz], pr[cols])
-        else:
-            t[nz] -= np.outer(coef[nz], pr)
+        t[nz] -= np.outer(coef[nz], pr)
     t[row] = pr
     if obj[col] != 0:
         obj -= obj[col] * pr

@@ -339,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-9,
                        help="relative tightness tolerance")
         p.add_argument("--band", type=float, default=1e-9,
-                       help="boundary band around the separator optimum")
+                       help="a float separator whose margin is at most "
+                            "this is a boundary case")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the report to this path")
 

@@ -30,8 +30,8 @@ class LPNumericalFailure(FrameScaleError):
 
 
 class Infeasible(FrameScaleError):
-    """Weight recovery found no feasible point although a separator was
-    ruled out; the caller escalates to the exact back-end."""
+    """Weight recovery found no feasible point, or weights that fail their
+    re-check; ``decide`` escalates to the exact back-end when it can."""
 
 
 class NotStrictlyScalable(FrameScaleError):

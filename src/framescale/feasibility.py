@@ -1,26 +1,30 @@
 """The decision core: can a frame be rescaled into a tight frame?
 
-A frame is scalable exactly when the transformed columns F(phi_k) admit a
-nonnegative, nontrivial kernel combination; otherwise a strictly separating
-direction exists.  ``decide`` runs the separator program first
+A frame is scalable exactly when 0 lies in the convex hull of the
+transformed columns F(phi_k); otherwise a direction h separates them all,
+<F(phi_k), h> > 0.  ``decide`` answers with one LP, phase 1 on the weight
+polytope {F u = 0, sum u = 1, u >= 0}.  When it is feasible, its basic
+point is the weights certificate, with support at most d + 1.  When it is
+not, its Farkas duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k,
+so -h is the separator.  Scalable subsets then get the strict question,
+the max-min-weight program.  Both certificates are re-checked before they
+are returned.
+
+Mode ``"exact"`` runs the same sequence with rational pivots.  Float
+separators whose re-verified margin falls inside a small band are flagged
+and, by default, re-decided that way when at most ``EXACT_CAP`` columns are
+active.  ``separator_search`` keeps the max-margin program
 
     maximize t  subject to  <F(phi_k), h> >= t  for k in the subset,
-                            |h|_inf <= 1,
+                            |h|_inf <= 1
 
-whose optimum t* is the verdict: t* > 0 certifies non-scalability through
-the maximizing h, while t* = 0 sends us to weight recovery, which returns a
-basic feasible point of {F u = 0, sum u = 1, u >= 0} (and, for the strict
-question, the max-min-weight point).  Exactly one of the two certificates
-verifies; both are re-checked before being returned.
-
-Mode ``"exact"`` runs the same programs with rational pivots.  Verdicts
-inside a small band around t* = 0 are flagged and, by default, re-decided
-that way when at most ``EXACT_CAP`` columns are active.  The decision
-never calls ``exact_oracle`` (vertex enumeration): it is the reference.
+for callers that want the best margin; the decision never runs it, nor
+``exact_oracle`` (vertex enumeration), which is the reference.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -37,6 +41,8 @@ from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _frozen,
 DEFAULT_BOUNDARY_BAND = 1e-9
 DEFAULT_STRICT_THRESHOLD = 1e-10
 EXACT_CAP = 12  # most active columns an exact escalation is tried on
+
+logger = logging.getLogger(__name__)
 
 SignWitness = namedtuple("SignWitness", "i j sign")
 ConeFlags = namedtuple("ConeFlags", "pointed polar_interior_empty")
@@ -62,6 +68,15 @@ class Separator:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of ``decide``.
+
+    ``t_star`` is the re-verified margin of the separator on non-scalable
+    verdicts and 0.0 on scalable ones.  ``s_star`` is the optimum of the
+    max-min-weight program on scalable verdicts; ``None`` there means that
+    the strict LP failed, so strictness was not determined (``strict`` is
+    False then).
+    """
+
     scalable: bool
     strict: bool
     certificate: object | None  # ScalingWeights | Separator | None
@@ -94,26 +109,19 @@ def _active_columns(frame: Frame, subset) -> tuple:
     return tuple(k for k in subset if np.any(frame.column(k) != 0.0))
 
 
-# --- LP assemblies ----------------------------------------------------------
-# One builder per program; its 0/1 integer constants suit float64 columns
-# and object columns of Fraction (``solve_lp_exact`` converts every entry).
+# --- LP programs ------------------------------------------------------------
+# Each program builds its standard form with 0/1 integer constants, which
+# suit float64 columns and object columns of Fraction (``solve_lp_exact``
+# converts every entry).
 
 def _solve(g: np.ndarray, a, b, c, basis=None) -> simplex.LPResult:
-    """Solve over the number type of ``g``: rational for object arrays.
-
-    ``solve_lp_exact`` keeps its public contract of returning ``x`` as a
-    list; it is turned back into an object array here so that the callers
-    can index and multiply it like the float ``x``."""
-    if g.dtype == object:
-        res = simplex.solve_lp_exact(a, b, c, initial_basis=basis)
-        if res.x is not None:
-            res.x = np.array(res.x, dtype=object)
-        return res
-    return simplex.solve_lp(a, b, c, initial_basis=basis)
+    """Solve over the number type of ``g``: rational for object arrays."""
+    solve = simplex.solve_lp_exact if g.dtype == object else simplex.solve_lp
+    return solve(a, b, c, initial_basis=basis)
 
 
-def _separator_arrays(g: np.ndarray):
-    """Standard form for the separator program.
+def _separator_lp(g: np.ndarray):
+    """Optimum t* and maximizing h of the separator program on columns g.
 
     Variables: h = p - q with p, q >= 0 and p_i + q_i <= 1 (equivalent to
     the infinity-norm box), t split into tp - tm, a surplus per margin row.
@@ -140,16 +148,9 @@ def _separator_arrays(g: np.ndarray):
     c[2 * d] = -1
     c[2 * d + 1] = 1
     basis = list(range(2 * d + 2, 2 * d + 2 + k + d))
-    return a, b, c, basis
-
-
-def _separator_lp(g: np.ndarray):
-    """Optimum t* and maximizing h of the separator program on columns g."""
-    a, b, c, basis = _separator_arrays(g)
     res = _solve(g, a, b, c, basis)
     if res.status != simplex.OPTIMAL:
         raise LPNumericalFailure(f"separator LP ended with {res.status}")
-    d = g.shape[0]
     return res.x[2 * d] - res.x[2 * d + 1], res.x[:d] - res.x[d:2 * d]
 
 
@@ -167,21 +168,29 @@ def separator_search(fi: FImage, subset=None) -> tuple[float, np.ndarray]:
     return float(t_star), h
 
 
-def _weights_arrays(g: np.ndarray):
-    """The normalized kernel polytope {g u = 0, sum u = 1, u >= 0}."""
+def _weight_lp(g: np.ndarray):
+    """Phase 1 on the weight polytope {g u = 0, sum u = 1, u >= 0}.
+
+    Returns ``(u, None)`` with a basic point u, or ``(None, h)`` with the
+    separator h read off the Farkas duals.  The objective is zero, so
+    phase 2 has nothing to do.
+    """
     d, k = g.shape
     a = np.vstack([g, np.ones((1, k), dtype=g.dtype)])
     b = np.zeros(d + 1, dtype=g.dtype)
     b[-1] = 1
-    c = np.zeros(k, dtype=g.dtype)
-    return a, b, c
+    res = _solve(g, a, b, np.zeros(k, dtype=g.dtype))
+    if res.status == simplex.INFEASIBLE:
+        return None, -res.ray[:d]
+    return res.x, None
 
 
-def _strict_arrays(g: np.ndarray):
-    """Max-min-weight program: u = v + s*1 with v, s >= 0, maximize s.
+def _strict_lp(g: np.ndarray):
+    """Optimum s* and maximizer u of the max-min-weight program.
 
-    It only runs on subsets already known to be scalable, where s = 0 is
-    feasible, so s needs no negative part.
+    u = v + s*1 with v, s >= 0, maximize s.  It only runs on subsets
+    already known to be scalable, where s = 0 is feasible, so s needs no
+    negative part.
     """
     d, k = g.shape
     a = np.zeros((d + 1, k + 1), dtype=g.dtype)
@@ -193,14 +202,12 @@ def _strict_arrays(g: np.ndarray):
     b[-1] = 1
     c = np.zeros(k + 1, dtype=g.dtype)
     c[k] = -1
-    return a, b, c
-
-
-def _embed(frame: Frame, active, u_active) -> np.ndarray:
-    u = np.zeros(frame.m)
-    for pos, k in enumerate(active):
-        u[k] = u_active[pos]
-    return u
+    res = _solve(g, a, b, c)
+    if res.status == simplex.INFEASIBLE:
+        raise Infeasible("strict weight LP infeasible")
+    if res.status != simplex.OPTIMAL:
+        raise LPNumericalFailure(f"strict weight LP ended with {res.status}")
+    return res.x[k], res.x[:k] + res.x[k]
 
 
 def weight_recovery(fi: FImage, frame: Frame, subset=None,
@@ -222,27 +229,24 @@ def weight_recovery(fi: FImage, frame: Frame, subset=None,
         raise Infeasible("subset has no nonzero columns")
     g = fi.columns(active)
     if not strict:
-        res = _solve(g, *_weights_arrays(g))
-        if res.status != simplex.OPTIMAL:
-            raise Infeasible(f"weight recovery LP ended with {res.status}")
-        w = make_weights(frame, _embed(frame, active, res.x))
-        if w.residual > tol_tight * w.alpha:
-            raise Infeasible(
-                f"recovered weights verify poorly: residual {w.residual:.3e}")
-        return w
-    res = _solve(g, *_strict_arrays(g))
-    if res.status == simplex.INFEASIBLE:
-        raise Infeasible("strict weight LP infeasible")
-    if res.status != simplex.OPTIMAL:
-        raise LPNumericalFailure(f"strict weight LP ended with {res.status}")
-    k = len(active)
-    s_star = float(res.x[k])
+        u, _ = _weight_lp(g)
+        if u is None:
+            raise Infeasible("weight polytope is empty")
+        return _verified_weights(frame, active, u, tol_tight)
+    s_star, u = _strict_lp(g)
     if s_star <= strict_threshold:
-        raise NotStrictlyScalable(s_star)
-    w = make_weights(frame, _embed(frame, active, res.x[:k] + s_star))
+        raise NotStrictlyScalable(float(s_star))
+    return _verified_weights(frame, active, u, tol_tight)
+
+
+def _verified_weights(frame: Frame, active, u_active,
+                      tol_tight: float) -> ScalingWeights:
+    u = np.zeros(frame.m)
+    u[list(active)] = u_active
+    w = make_weights(frame, u)
     if w.residual > tol_tight * w.alpha:
-        raise LPNumericalFailure(
-            f"strict weights verify poorly: residual {w.residual:.3e}")
+        raise Infeasible(
+            f"recovered weights verify poorly: residual {w.residual:.3e}")
     return w
 
 
@@ -277,6 +281,34 @@ def _decide_dim1(frame: Frame, subset, resolved_by="float") -> Verdict:
                    subset=subset, spans=True, resolved_by=resolved_by)
 
 
+def _decide_columns(g: np.ndarray, subset, separator, weights, spans,
+                    threshold, resolved_by: str) -> Verdict:
+    """The decision on the columns g of the active subset, over their
+    number type: the weight LP gives a separator or weights, and the strict
+    LP runs on scalable subsets only.  ``separator(h)`` and ``weights(u)``
+    package and re-verify a certificate, ``spans()`` tells whether the
+    subset spans, and s* above ``threshold`` counts as strict."""
+    u, h = _weight_lp(g)
+    if u is None:
+        sep = separator(h)
+        return Verdict(scalable=False, strict=False, certificate=sep,
+                       boundary_flag=False, t_star=sep.margin, s_star=None,
+                       subset=subset, spans=spans(), resolved_by=resolved_by)
+    w = weights(u)
+    strict, s_star = False, None
+    try:
+        s, u = _strict_lp(g)
+        if s > threshold:
+            w, strict = weights(u), True
+        s_star = float(s)
+    except (Infeasible, LPNumericalFailure) as e:
+        # The weights above are verified; only strictness stays unknown.
+        logger.warning("strictness not determined: %s", e)
+    return Verdict(scalable=True, strict=strict, certificate=w,
+                   boundary_flag=False, t_star=0.0, s_star=s_star,
+                   subset=subset, spans=True, resolved_by=resolved_by)
+
+
 def decide(frame: Frame, subset=None, mode: str = "float", *,
            band: float = DEFAULT_BOUNDARY_BAND,
            tol_tight: float = DEFAULT_TIGHT_TOL,
@@ -288,10 +320,11 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     Zero columns are carried with weight zero: they never affect the
     verdict and can never be separated.  Non-spanning subsets come back
     non-scalable with ``spans`` False.  ``on_boundary`` controls what
-    happens when t* falls in the tolerance band around 0: ``"resolve"``
-    re-decides through the exact LP of mode ``"exact"`` (when the subset
-    has at most ``EXACT_CAP`` active columns), ``"flag"`` only marks the
-    verdict.
+    happens when the re-verified margin of a float separator is at most
+    ``band``: ``"resolve"`` re-decides through the exact LP of mode
+    ``"exact"`` (when the subset has at most ``EXACT_CAP`` active columns),
+    ``"flag"`` only marks the verdict.  A certificate that fails its
+    re-check is re-decided exactly in either case, within the same cap.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -305,56 +338,30 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     if not active:
         return _verdict_no_columns(subset)
     fi = f_image(frame)
-    t_star, h = separator_search(fi, active)
-    if t_star < -band:
-        raise LPNumericalFailure(f"separator optimum {t_star} below zero")
-    boundary = t_star != 0.0 and abs(t_star) <= band
+    can_escalate = len(active) <= EXACT_CAP
 
-    def escalate() -> Verdict | None:
-        if len(active) <= EXACT_CAP:
-            v = _decide_exact_lp(frame, subset, rational=rational)
-            return replace(v, boundary_flag=True)
-        return None
-
-    if boundary and on_boundary == "resolve":
-        resolved = escalate()
-        if resolved is not None:
-            return resolved
-
-    if t_star > 0.0 and (t_star > band or boundary):
-        sep = _package_separator(fi, h, active)
-        if sep.margin <= 0.0:
-            resolved = escalate()
-            if resolved is not None:
-                return resolved
-            raise LPNumericalFailure("separator failed re-verification")
-        spans = numerical_rank(frame.matrix[:, list(subset)]) == frame.n
-        return Verdict(scalable=False, strict=False, certificate=sep,
-                       boundary_flag=boundary, t_star=t_star, s_star=None,
-                       subset=subset, spans=spans, resolved_by="float")
+    def escalate() -> Verdict:
+        v = _decide_exact_lp(frame, subset, rational=rational)
+        return replace(v, boundary_flag=True)
 
     try:
-        weights = weight_recovery(fi, frame, subset, strict=False,
-                                  tol_tight=tol_tight)
-    except Infeasible:
-        resolved = escalate()
-        if resolved is not None:
-            return resolved
+        v = _decide_columns(
+            fi.columns(active), subset,
+            lambda h: _package_separator(fi, h, active),
+            lambda u: _verified_weights(frame, active, u, tol_tight),
+            lambda: numerical_rank(frame.matrix[:, list(subset)]) == frame.n,
+            strict_threshold, "float")
+    except Infeasible:  # the weights failed their re-check
+        if can_escalate:
+            return escalate()
         raise
-    s_star = None
-    strict = False
-    try:
-        strict_weights = weight_recovery(fi, frame, subset, strict=True,
-                                         tol_tight=tol_tight,
-                                         strict_threshold=strict_threshold)
-        strict = True
-        s_star = float(np.min(strict_weights.u[list(active)]))
-        weights = strict_weights
-    except NotStrictlyScalable as e:
-        s_star = float(e.s_star)
-    return Verdict(scalable=True, strict=strict, certificate=weights,
-                   boundary_flag=boundary, t_star=t_star, s_star=s_star,
-                   subset=subset, spans=True, resolved_by="float")
+    if v.scalable or v.t_star > band:
+        return v
+    if can_escalate and (on_boundary == "resolve" or v.t_star <= 0.0):
+        return escalate()
+    if v.t_star <= 0.0:
+        raise LPNumericalFailure("separator failed re-verification")
+    return replace(v, boundary_flag=True)
 
 
 # --- sign-based quick rejection ---------------------------------------------
@@ -397,16 +404,17 @@ def cone_pointed(fi: FImage, subset=None) -> ConeFlags:
     The cone fails to be pointed exactly when a nonzero nonnegative kernel
     combination exists (every transformed column of a nonzero vector is
     nonzero, so a kernel vector folds the cone onto a line), which is the
-    separator program reporting t* = 0; the polar cone has empty interior
-    in exactly the same case.  Zero columns are refused.
+    weight polytope of ``decide`` being nonempty; the polar cone has empty
+    interior in exactly the same case.  Zero columns are refused.
     """
     if subset is None:
         subset = tuple(range(fi.m))
     g = fi.columns(subset)
+    if g.shape[1] == 0:
+        raise ValueError("subset must be nonempty")
     if np.any(np.all(g == 0.0, axis=0)):
         raise ZeroColumn("cone test is undefined for zero frame vectors")
-    t_star, _ = separator_search(fi, subset)
-    pointed = t_star > 0.0
+    pointed = _weight_lp(g)[0] is None
     return ConeFlags(pointed=pointed, polar_interior_empty=not pointed)
 
 
@@ -439,49 +447,33 @@ def identity_in_outer_hull(frame: Frame, subset=None,
 
 # --- exact back-ends ----------------------------------------------------------
 
-def _exact_weights_to_scaling(frame: Frame, subset, active, cols,
+def _exact_weights_to_scaling(frame: Frame, active, cols,
                               u_active) -> ScalingWeights:
-    n = frame.n
-    alpha = sum((u_active[pos] * exact.norm2_exact(cols[k])
-                 for pos, k in enumerate(active)), Fraction(0)) / n
     total = sum(u_active, Fraction(0))
     u_norm = [v / total for v in u_active]
-    alpha = alpha / total
+    alpha = sum((u * exact.norm2_exact(cols[k])
+                 for u, k in zip(u_norm, active)), Fraction(0)) / frame.n
     # The tightness identity must hold literally in rational arithmetic.
-    s = [[Fraction(0)] * n for _ in range(n)]
-    for pos, k in enumerate(active):
-        col = cols[k]
-        uk = u_norm[pos]
-        if uk == 0:
-            continue
-        for i in range(n):
-            for j in range(n):
-                s[i][j] += uk * col[i] * col[j]
-    for i in range(n):
-        for j in range(n):
-            expect = alpha if i == j else Fraction(0)
-            if s[i][j] != expect:
-                raise ArithmeticError("exact weights failed the tightness check")
+    c = np.array([cols[k] for k in active], dtype=object)
+    if np.any((c.T * u_norm) @ c != np.eye(frame.n, dtype=int) * alpha):
+        raise ArithmeticError("exact weights failed the tightness check")
     u_full = [Fraction(0)] * frame.m
-    for pos, k in enumerate(active):
-        u_full[k] = u_norm[pos]
-    w = make_weights(frame, np.array([float(v) for v in u_full]),
-                     normalize=False,
-                     u_exact=tuple(u_full), alpha_exact=alpha)
-    return w
+    for u, k in zip(u_norm, active):
+        u_full[k] = u
+    return make_weights(frame, np.array([float(v) for v in u_full]),
+                        normalize=False,
+                        u_exact=tuple(u_full), alpha_exact=alpha)
 
 
-def _exact_separator_package(frame: Frame, active, g_cols, t_star, h
-                             ) -> Separator:
+def _exact_separator_package(active, g: np.ndarray, h) -> Separator:
     scale = max(abs(v) for v in h)
     if scale == 0:
         raise LPNumericalFailure("exact separator direction is zero")
-    hn = [v / scale for v in h]
-    margin = min(sum((hv * gv for hv, gv in zip(hn, col)), Fraction(0))
-                 for col in g_cols)
+    hn = h / scale
+    margin = min(hn @ g)
     if margin <= 0:
         raise ArithmeticError("exact separator failed its margin check")
-    return Separator(h=_frozen(np.array([float(v) for v in hn])),
+    return Separator(h=_frozen(hn.astype(float)),
                      margin=float(margin), indices=tuple(active),
                      h_exact=tuple(hn), margin_exact=margin)
 
@@ -535,17 +527,18 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
                         for i in range(len(active))]
         else:
             u_active = list(verts[0])
-        w = _exact_weights_to_scaling(frame, subset, active, cols, u_active)
+        w = _exact_weights_to_scaling(frame, active, cols, u_active)
         s_star = float(min(w.u_exact[k] for k in active)) if strict else 0.0
         return Verdict(scalable=True, strict=strict, certificate=w,
                        boundary_flag=False, t_star=0.0, s_star=s_star,
                        subset=subset, spans=True, resolved_by="exact")
 
-    t_star, h = _separator_lp(np.array(g_cols, dtype=object).T)
+    g = np.array(g_cols, dtype=object).T
+    t_star, h = _separator_lp(g)
     if t_star <= 0:
         raise ArithmeticError(
             "exact routes disagree: no vertex, yet no positive separator")
-    sep = _exact_separator_package(frame, active, g_cols, t_star, h)
+    sep = _exact_separator_package(active, g, h)
     return Verdict(scalable=False, strict=False, certificate=sep,
                    boundary_flag=False, t_star=float(t_star), s_star=None,
                    subset=subset, spans=_exact_spans(cols, subset, frame.n),
@@ -553,37 +546,15 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
 
 
 def _decide_exact_lp(frame: Frame, subset, rational=None) -> Verdict:
-    """Mode "exact" of ``decide``: the same LP programs as the float path,
-    run with rational pivots so every verdict is exact."""
+    """Mode "exact" of ``decide``: the float sequence with rational pivots,
+    so every verdict is exact."""
     cols = exact.frame_to_fractions(frame, rational)
     active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
     if not active:
         return replace(_verdict_no_columns(subset), resolved_by="exact")
-    g_cols = [exact.f_vector_exact(cols[k]) for k in active]
-    g = np.array(g_cols, dtype=object).T
-    t_star, h = _separator_lp(g)
-    if t_star > 0:
-        sep = _exact_separator_package(frame, active, g_cols, t_star, h)
-        return Verdict(scalable=False, strict=False, certificate=sep,
-                       boundary_flag=False, t_star=float(t_star), s_star=None,
-                       subset=subset,
-                       spans=_exact_spans(cols, subset, frame.n),
-                       resolved_by="exact")
-
-    res = _solve(g, *_weights_arrays(g))
-    if res.status != simplex.OPTIMAL:
-        raise ArithmeticError("exact weight recovery contradicts t* = 0")
-    u_active = list(res.x)
-    res = _solve(g, *_strict_arrays(g))
-    if res.status != simplex.OPTIMAL:
-        raise ArithmeticError("exact strict LP failed on a scalable subset")
-    k = len(active)
-    s_star = res.x[k]
-    strict = s_star > 0
-    if strict:
-        u_active = list(res.x[:k] + s_star)
-    w = _exact_weights_to_scaling(frame, subset, active, cols, u_active)
-    return Verdict(scalable=True, strict=strict, certificate=w,
-                   boundary_flag=False, t_star=float(t_star),
-                   s_star=float(s_star), subset=subset, spans=True,
-                   resolved_by="exact")
+    g = np.array([exact.f_vector_exact(cols[k]) for k in active],
+                 dtype=object).T
+    return _decide_columns(
+        g, subset, lambda h: _exact_separator_package(active, g, h),
+        lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),
+        lambda: _exact_spans(cols, subset, frame.n), 0, "exact")

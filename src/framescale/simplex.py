@@ -12,7 +12,10 @@ over float64 arrays with small tolerances, ``solve_lp_exact`` over object
 arrays of ``Fraction`` with zero tolerances, so its verdicts are exact.
 
 The final basis is part of the result because the feasibility certificates
-elsewhere in the package are read off basic solutions.
+elsewhere in the package are read off basic solutions.  An infeasible
+result carries the phase-1 duals instead: a Farkas ray y with y'A <= 0 and
+y'b > 0, which is how the package turns an empty weight polytope into a
+separating direction.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ _to_fraction = np.frompyfunc(Fraction, 1, 1)
 @dataclass
 class LPResult:
     status: str
-    x: np.ndarray | list | None      # list of Fraction from solve_lp_exact
+    x: np.ndarray | None
     objective: float | Fraction | None
     basis: list | None
+    ray: np.ndarray | None = None   # Farkas ray of an INFEASIBLE result
 
 
 def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
@@ -49,7 +53,8 @@ def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
     coef = t[:, col].copy()
     coef[row] = 0
     # Skipping zero multipliers keeps exact zeros exact, which is what
-    # makes the separator optimum land on literal 0.0 for scalable frames.
+    # makes separator_search's optimum land on literal 0.0 for scalable
+    # frames.
     nz = coef != 0
     if np.any(nz):
         t[nz] -= np.outer(coef[nz], pr)
@@ -128,7 +133,12 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
         if status != OPTIMAL:
             raise LPNumericalFailure("phase 1 did not terminate at an optimum")
         if -obj[-1] > feas_tol:
-            return LPResult(INFEASIBLE, None, None, None)
+            # The duals of the flipped rows are 1 minus the reduced costs
+            # of the artificials; unflipping the rows gives y'A <= 0 and
+            # y'b = the phase-1 optimum > 0.
+            ray = one - obj[n:n + m]
+            ray[neg] *= -1
+            return LPResult(INFEASIBLE, None, None, None, ray)
 
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = []
@@ -172,12 +182,9 @@ def solve_lp_exact(a, b, c, *, initial_basis=None) -> LPResult:
     """The same two-phase simplex over ``Fraction`` entries, zero tolerance.
 
     Inputs are nested sequences or arrays of ints, floats or Fractions;
-    every entry becomes a ``Fraction``.  Statuses and solutions are exact
-    (``x`` is a list of ``Fraction``), so a sign read off the optimum is a
-    proof.
+    every entry becomes a ``Fraction``.  Statuses, solutions and rays are
+    exact (``x`` and ``ray`` are object arrays of ``Fraction``), so a sign
+    read off the optimum is a proof.
     """
     a, b, c = (_to_fraction(np.array(v, dtype=object)) for v in (a, b, c))
-    res = _two_phase(a, b, c, initial_basis, Fraction(0), 0, 0, 0)
-    if res.x is not None:
-        res.x = list(res.x)
-    return res
+    return _two_phase(a, b, c, initial_basis, Fraction(0), 0, 0, 0)

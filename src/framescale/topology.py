@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, WitnessVerificationFailed
 from .feasibility import (DEFAULT_STRICT_THRESHOLD, EXACT_CAP, Separator,
-                          Verdict, decide)
-from .fmap import outer_svec_rows, svec
+                          Verdict, decide, separator_search)
+from .fmap import f_image, outer_svec_rows, svec
 from .frames import Frame, build_frame, numerical_rank
 
 logger = logging.getLogger(__name__)
@@ -193,13 +193,17 @@ def closedness_probe(frame: Frame, seed=None, samples: int = 100,
                      mode: str = "float") -> ClosednessProbe:
     """Sample perturbations of a non-scalable frame at half the certified
     radius and report the fraction still deciding non-scalable (which the
-    radius guarantees to be all of them)."""
-    verdict = decide(frame, mode=mode)
-    if verdict.scalable:
+    radius guarantees to be all of them).  The radius grows with the
+    margin, so it comes from the max-margin separator of
+    ``separator_search`` rather than from the verdict's certificate."""
+    if decide(frame, mode=mode).scalable:
         raise ValueError("frame is scalable; no separation radius exists")
     if frame.degenerate:
         raise ValueError("closedness probe needs a nondegenerate frame")
-    separator = verdict.certificate
+    fi = f_image(frame)
+    _, h = separator_search(fi)
+    separator = Separator(h=h, margin=float(np.min(h @ fi.matrix)),
+                          indices=tuple(range(frame.m)))
     radius = separation_radius(frame, separator)
     rng = np.random.default_rng(seed)
     hits = 0

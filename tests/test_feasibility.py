@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framescale as fs
-from framescale import exact
+from framescale import exact, feasibility
 from framescale.feasibility import Separator
 from framescale.frames import ScalingWeights
 from conftest import random_orthogonal, random_scalable_frame
@@ -102,6 +102,7 @@ def test_decide_quadrant_not_scalable(quadrant):
     assert not v.scalable and not v.strict
     assert isinstance(v.certificate, Separator)
     assert v.certificate.margin > 0.0
+    assert v.t_star == v.certificate.verify(fs.f_image(quadrant))
     # the pure product coordinate works as a separator here
     fi = fs.f_image(quadrant)
     e_last = np.zeros(fi.d)
@@ -137,6 +138,62 @@ def test_decide_zero_columns_carried_with_zero_weight():
     assert v.certificate.u[2] == 0.0
     all_zero = fs.decide(f, subset=(2,))
     assert not all_zero.scalable and all_zero.certificate is None
+
+
+def test_decide_separates_random_10x100_frame():
+    # The max-margin separator program used to exhaust the simplex
+    # iteration budget here; the weight LP's Farkas duals do not.
+    f = fs.random_frame(10, 100, seed=0)
+    v = fs.decide(f)
+    assert not v.scalable and isinstance(v.certificate, Separator)
+    assert v.certificate.verify(fs.f_image(f)) >= 1e-10
+    assert fs.cone_pointed(fs.f_image(f)).pointed
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_decide_never_runs_the_separator_program(
+        onb2, quadrant, mercedes, onb_plus, monkeypatch, mode):
+    def fail(*args, **kwargs):
+        raise AssertionError("separator program called")
+
+    monkeypatch.setattr(feasibility, "_separator_lp", fail)
+    frames = (onb2, quadrant, mercedes, onb_plus)
+    verdicts = [fs.decide(f, mode=mode) for f in frames]
+    assert [v.scalable for v in verdicts] == [True, False, True, True]
+    for frame, v in zip(frames, verdicts):
+        if v.scalable:
+            w = v.certificate
+            assert w.residual <= 1e-9 * w.alpha and v.t_star == 0.0
+        else:
+            assert v.certificate.verify(fs.f_image(frame)) > 0.0
+            if mode == "exact":
+                assert v.certificate.margin_exact > 0
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("error", [fs.LPNumericalFailure, fs.Infeasible])
+def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
+                                                  caplog, mode, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(feasibility, "_strict_lp", fail)
+    v = fs.decide(mercedes, mode=mode)
+    assert v.scalable and not v.strict and v.s_star is None
+    w = v.certificate
+    assert w.residual <= 1e-9 * w.alpha
+    assert "strictness not determined: injected" in caplog.text
+
+
+def test_band_applies_to_the_separator_margin(quadrant):
+    # The returned separator of quadrant has margin 1/4.
+    v = fs.decide(quadrant, band=0.3, on_boundary="flag")
+    assert v.boundary_flag and v.resolved_by == "float"
+    assert v.t_star == pytest.approx(0.25)
+    v = fs.decide(quadrant, band=0.3)
+    assert v.boundary_flag and v.resolved_by == "exact"
+    assert not v.scalable and v.certificate.margin_exact > 0
+    assert not fs.decide(quadrant, band=0.2).boundary_flag
 
 
 def test_decide_dimension_one():

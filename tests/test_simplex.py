@@ -62,6 +62,21 @@ def test_detects_infeasible():
     assert res.status == simplex.INFEASIBLE
 
 
+@pytest.mark.parametrize("solve", [simplex.solve_lp, simplex.solve_lp_exact])
+def test_infeasible_result_carries_farkas_ray(solve):
+    # x1 + x2 = 1 and x1 + x2 = -2 (a flipped row) cannot both hold:
+    # the ray needs y'A <= 0 and y'b > 0.
+    a = [[1, 1, 0], [1, 1, 1], [1, 1, 0]]
+    b = [1, 3, -2]
+    res = solve(a, b, [0, 0, 0])
+    assert res.status == simplex.INFEASIBLE
+    y = res.ray
+    assert np.all(y @ np.array(a, dtype=object) <= 0)
+    assert y @ np.array(b, dtype=object) > 0
+    if solve is simplex.solve_lp_exact:
+        assert all(type(v) is Fraction for v in y)
+
+
 def test_detects_unbounded():
     a = np.array([[1.0, -1.0, 0.0]])
     b = np.array([0.0])
@@ -104,7 +119,7 @@ def test_exact_solution_is_rational():
     res = simplex.solve_lp_exact(a, b, c)
     assert res.status == simplex.OPTIMAL
     assert res.objective == Fraction(1)
-    assert res.x == [Fraction(0), Fraction(1), Fraction(0)]
+    assert list(res.x) == [Fraction(0), Fraction(1), Fraction(0)]
     # Integer inputs must not leak through as int (or, after an int/int
     # division in a pivot, as float): every number is a Fraction.
     assert type(res.objective) is Fraction
@@ -125,8 +140,8 @@ def test_initial_basis_skips_artificial_phase():
 def test_separator_optimum_is_literal_zero_for_scalable_frames(seed):
     # Scalable instances start at an optimal vertex of the separator
     # program; every pivot is degenerate and the optimum is returned as
-    # exact 0.0, which is what keeps clean verdicts out of the boundary
-    # band.
+    # exact 0.0, so callers of separator_search can test t* > 0 without a
+    # tolerance.
     rng = np.random.default_rng(2000 + seed)
     f = random_scalable_frame(rng, int(rng.integers(2, 5)), 8)
     t_star, _ = fs.separator_search(fs.f_image(f))

@@ -114,6 +114,8 @@ def test_witness_requires_positive_epsilon(witness_base):
 def test_closedness_probe_all_nonscalable(quadrant):
     probe = fs.closedness_probe(quadrant, seed=17, samples=100)
     assert probe.radius > 0.0
+    # the max-margin separator, not the verdict's smaller Farkas one
+    assert probe.margin == pytest.approx(0.4)
     assert probe.fraction_nonscalable == 1.0
 
 

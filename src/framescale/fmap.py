@@ -48,7 +48,7 @@ def pair_index(n: int, i: int, j: int) -> int:
 
 
 def f_vector(x) -> np.ndarray:
-    """Evaluate the transform at one vector.
+    """Evaluate the transform at one vector, or the columns of a matrix.
 
     Nonvanishing: for N >= 2 and x != 0, F(x) != 0, because all pairwise
     products zero plus all squares equal forces x = 0.
@@ -80,8 +80,7 @@ class FImage:
 
 def f_image(frame: Frame) -> FImage:
     """Columnwise transform of a whole frame."""
-    cols = [f_vector(frame.column(k)) for k in range(frame.m)]
-    return FImage(matrix=_frozen(np.column_stack(cols)),
+    return FImage(matrix=_frozen(f_vector(frame.matrix)),
                   d=target_dim(frame.n), n=frame.n, m=frame.m)
 
 

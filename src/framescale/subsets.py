@@ -5,10 +5,18 @@ frame.  Enumeration is the last resort: an m = N query reduces entirely to
 finding N pairwise-orthogonal columns, a negative full-frame verdict kills
 every subset at once, and a positive one can be compressed below the
 dimension of the outer-product span before any enumeration starts.
+
+Once the full frame is known scalable, separators prune the enumeration.
+A direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
+of the convex hull of F_T, so T is not scalable.  Each search keeps the
+separators its subset decides return and rejects a later candidate without
+an LP when a kept h clears the threshold on every column of it; that test
+is the re-verification of h on the candidate.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -16,9 +24,9 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NumericalStall
-from .exact import frame_to_fractions, kernel_basis
-from .feasibility import Verdict, decide
-from .fmap import outer_svec_rows
+from .exact import f_vector_exact, frame_to_fractions, kernel_basis
+from .feasibility import DEFAULT_BOUNDARY_BAND, Separator, Verdict, decide
+from .fmap import f_image, outer_svec_rows
 from .frames import Frame, ScalingWeights, make_weights, numerical_rank
 
 DEFAULT_SUBSET_BUDGET = 10 ** 6
@@ -27,6 +35,8 @@ DEFAULT_ORTHO_TOL = 1e-10
 # Singular value (relative) below which a dependence among outer products
 # is accepted during support reduction.
 DEPENDENCE_TOL = 1e-8
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,58 @@ class ScalabilityIndex:
     unknown_below: int | None  # set when the budget stopped the search
     witness: tuple | None
     weights: ScalingWeights | None
+
+
+class _SubsetSearch:
+    """``decide`` over the candidate subsets of one search, pruned by the
+    separators found so far.
+
+    Row r of ``pos`` marks the columns k with <F(phi_k), h_r> above the
+    threshold, for the r-th kept separator h_r.  A candidate marked in
+    every column of some row is rejected without an LP.  Float mode keeps
+    the normalized ``Separator.h`` with ``DEFAULT_BOUNDARY_BAND`` as the
+    threshold, the margin ``decide`` accepts a float separator with, so a
+    candidate on which h falls inside the band still goes to ``decide``.
+    Exact mode keeps ``Separator.h_exact`` with threshold 0 over the
+    rational F-image, so every rejection is a proof.  The F-image is built
+    when the first separator arrives.
+    """
+
+    def __init__(self, frame: Frame, mode: str):
+        self.frame = frame
+        self.mode = mode
+        self.g = None
+        self.pos = np.zeros((0, frame.m), dtype=bool)
+        self.tried = self.rejected = 0
+
+    def decide(self, idx: tuple) -> Verdict | None:
+        """The verdict on ``idx``, or None when a kept separator rejects it."""
+        self.tried += 1
+        if self.pos[:, list(idx)].all(axis=1).any():
+            self.rejected += 1
+            return None
+        v = decide(self.frame, idx, mode=self.mode)
+        if isinstance(v.certificate, Separator):
+            self._keep(v.certificate)
+        return v
+
+    def _keep(self, sep: Separator) -> None:
+        if self.mode == "exact":
+            if self.g is None:
+                self.g = np.array([f_vector_exact(c) for c in
+                                   frame_to_fractions(self.frame)],
+                                  dtype=object).T
+            row = np.array(sep.h_exact, dtype=object) @ self.g > 0
+        else:
+            if self.g is None:
+                self.g = f_image(self.frame).matrix
+            row = sep.h @ self.g > DEFAULT_BOUNDARY_BAND
+        self.pos = np.vstack([self.pos, row])
+
+    def log(self, query: str) -> None:
+        logger.debug("%s: %d subsets enumerated, %d rejected by a kept "
+                     "separator, %d sent to decide", query, self.tried,
+                     self.rejected, self.tried - self.rejected)
 
 
 def orthogonal_subbasis(frame: Frame,
@@ -84,9 +146,11 @@ def is_m_scalable(frame: Frame, m: int, strict: bool = False, *,
     """Does some size-m column subset form a (strictly) scalable frame?
 
     Positive answers always carry a witness subset re-verified by
-    ``decide``.  When every pruning rule fails and the subset count
-    exceeds ``budget``, the query raises ``BudgetExceeded`` rather than
-    guessing.
+    ``decide``.  Candidates go through ``decide`` in ``combinations``
+    order, except those that a separator kept from an earlier candidate
+    rejects (see ``_SubsetSearch``).  When every pruning rule fails and
+    the subset count exceeds ``budget``, the query raises
+    ``BudgetExceeded`` rather than guessing.
     """
     if not frame.n <= m <= frame.m:
         raise DimensionMismatch(f"need {frame.n} <= m <= {frame.m}, got {m}")
@@ -119,11 +183,15 @@ def is_m_scalable(frame: Frame, m: int, strict: bool = False, *,
     if comb(len(pool), m) > budget:
         raise BudgetExceeded(
             f"C({len(pool)},{m}) subsets exceed the budget {budget}")
+    search = _SubsetSearch(frame, mode)
+    result = SubsetVerdict(False, m, False, None, None, None)
     for idx in combinations(pool, m):
-        v = decide(frame, idx, mode=mode)
-        if v.scalable and (v.strict or not strict):
-            return SubsetVerdict(True, m, v.strict, idx, v.certificate, v)
-    return SubsetVerdict(False, m, False, None, None, None)
+        v = search.decide(idx)
+        if v is not None and v.scalable and (v.strict or not strict):
+            result = SubsetVerdict(True, m, v.strict, idx, v.certificate, v)
+            break
+    search.log("is_m_scalable")
+    return result
 
 
 def _pad(support, m: int, total: int) -> tuple:
@@ -229,8 +297,10 @@ def scalability_index(frame: Frame, *, budget: int = DEFAULT_SUBSET_BUDGET,
     Starts from the support-reduced weights (an upper bound no worse than
     the dimension of the outer-product span) and walks downward by
     enumeration; m = N is settled by the orthogonal-subbasis criterion.
-    On budget exhaustion the best verified upper bound is returned with an
-    explicit marker for the smallest unexplored size.
+    One set of kept separators serves every size of the walk, and subsets
+    that one of them rejects skip ``decide`` but still count against
+    ``budget``.  On budget exhaustion the best verified upper bound is
+    returned with an explicit marker for the smallest unexplored size.
     """
     full = decide(frame, mode=mode)
     if not full.scalable:
@@ -243,22 +313,26 @@ def scalability_index(frame: Frame, *, budget: int = DEFAULT_SUBSET_BUDGET,
     best = len(reduced.support)
     witness = reduced.support
     weights = reduced
+    search = _SubsetSearch(frame, mode)
     used = 0
+    unknown_below = None
     m = best - 1
     while m > frame.n:  # m = n settled above: no orthogonal subbasis
         found = None
         for idx in combinations(range(frame.m), m):
             used += 1
             if used > budget:
-                return ScalabilityIndex(best, False, m, witness, weights)
-            v = decide(frame, idx, mode=mode)
-            if v.scalable:
+                unknown_below = m
+                break
+            v = search.decide(idx)
+            if v is not None and v.scalable:
                 found = (idx, v)
                 break
         if found is None:
-            return ScalabilityIndex(best, False, None, witness, weights)
+            break
         witness, v = found
         weights = v.certificate
         best = m
         m -= 1
-    return ScalabilityIndex(best, False, None, witness, weights)
+    search.log("scalability_index")
+    return ScalabilityIndex(best, False, unknown_below, witness, weights)

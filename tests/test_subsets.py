@@ -1,7 +1,12 @@
+import logging
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 import framescale as fs
+import framescale.subsets as subsets
 from conftest import random_orthogonal, random_scalable_frame
 
 
@@ -232,3 +237,146 @@ def test_strictly_full_size_scalable_low_count_has_full_transform_rank(
     assert not fs.is_m_scalable(mercedes, 2).scalable
     rank, spans = fs.f_frame_rank(mercedes)
     assert spans and rank == fs.target_dim(2)
+
+
+# --- separator reuse against brute force ------------------------------------------
+
+def _hadamard_plus_integers(seed):
+    """4 x 9 integer frame: the columns of a 4 x 4 Hadamard matrix (an
+    orthogonal basis) among five small random integer columns."""
+    rng = np.random.default_rng(seed)
+    cols = list(rng.integers(-2, 3, size=(5, 4)).astype(float))
+    cols += [np.array(r, dtype=float) for r in
+             [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]]
+    return fs.build_frame(4, [cols[k] for k in rng.permutation(9)])
+
+
+def _with_zero_column(seed):
+    f = random_scalable_frame(np.random.default_rng(seed), 3, 6)
+    cols = list(f.columns)
+    cols.insert(2, np.zeros(3))
+    return fs.build_frame(3, cols)
+
+
+BRUTE_FRAMES = {
+    "3x7-seed0": lambda: random_scalable_frame(np.random.default_rng(0), 3, 7),
+    "3x7-seed1": lambda: random_scalable_frame(np.random.default_rng(1), 3, 7),
+    "4x9-seed0": lambda: random_scalable_frame(np.random.default_rng(0), 4, 9),
+    "4x9-integer": lambda: _hadamard_plus_integers(0),
+    "zero-column": lambda: _with_zero_column(2),
+    "quadrant": None, "mercedes": None, "onb_plus": None,
+}
+
+
+# Not in exact mode: rounded to floats, the m = d columns of "4x9-seed0"
+# have no exact kernel, so every exact verdict is "not scalable", and brute
+# force over its 382 subsets takes seconds.
+BRUTE_CASES = [(name, mode) for name in BRUTE_FRAMES
+               for mode in ("float", "exact")
+               if (name, mode) != ("4x9-seed0", "exact")]
+
+
+@pytest.mark.parametrize("name, mode", BRUTE_CASES)
+def test_searches_agree_with_brute_force(name, mode, request):
+    make = BRUTE_FRAMES[name]
+    f = make() if make else request.getfixturevalue(name)
+    nonzero = set(np.flatnonzero(f.norms() > 0.0))
+    # The reference: decide on every subset, in combinations order.
+    brute = {m: [(idx, fs.decide(f, idx, mode=mode))
+                 for idx in combinations(range(f.m), m)]
+             for m in range(f.n, f.m + 1)}
+
+    def first(m, strict):
+        for idx, v in brute[m]:
+            if strict and not nonzero.issuperset(idx):
+                continue  # strict queries enumerate nonzero columns only
+            if v.scalable and (v.strict or not strict):
+                return idx, v
+        return None
+
+    full = fs.decide(f, mode=mode)
+    support = (fs.caratheodory_reduce(f, full.certificate).support
+               if full.scalable else ())
+    for m in range(f.n, f.m + 1):
+        for strict in (False, True):
+            res = fs.is_m_scalable(f, m, strict, mode=mode)
+            ref = first(m, strict)
+            assert res.scalable == (ref is not None), (m, strict)
+            if not res.scalable:
+                continue
+            if m == f.n or strict or m < len(support):
+                # orthogonal basis or enumeration: the first hit
+                assert res.witness == ref[0], (m, strict)
+                np.testing.assert_array_equal(res.weights.u,
+                                              ref[1].certificate.u)
+            else:  # padded support of the reduced full-frame weights
+                assert res.witness == subsets._pad(support, m, f.m)
+
+    res = fs.scalability_index(f, mode=mode)
+    sizes = [m for m in brute if first(m, False) is not None]
+    assert res.not_scalable == (not sizes)
+    assert res.unknown_below is None
+    if sizes:
+        assert res.index == sizes[0]
+        if res.index == f.n or res.index < len(support):
+            ref = first(res.index, False)
+            assert res.witness == ref[0]
+            np.testing.assert_array_equal(res.weights.u, ref[1].certificate.u)
+        else:  # no subset smaller than the reduced support is scalable
+            assert res.witness == support
+
+
+def _count_decides(monkeypatch):
+    calls = []
+    real = subsets.decide
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(subsets, "decide", counting)
+    return calls
+
+
+def test_index_search_reuses_separators(monkeypatch, caplog):
+    f = random_scalable_frame(np.random.default_rng(0), 4, 13)
+    calls = _count_decides(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="framescale.subsets"):
+        res = fs.scalability_index(f)
+    assert res.index == 10 and res.unknown_below is None
+    # Without reuse the walk decides the full frame and all C(13, 9) = 715
+    # subsets of size 9.
+    assert len(calls) <= 100
+    [rec] = [r for r in caplog.records if r.name == "framescale.subsets"]
+    query, enumerated, rejected, decided = rec.args
+    assert query == "scalability_index"
+    assert (enumerated, decided) == (715, len(calls) - 1)
+    assert rejected == enumerated - decided > 0
+
+
+def test_rejected_subsets_count_against_the_budget(monkeypatch):
+    f = random_scalable_frame(np.random.default_rng(0), 4, 13)
+    calls = _count_decides(monkeypatch)
+    res = fs.scalability_index(f, budget=300)
+    # Fewer than 300 subsets reach decide; the budget still stops the walk
+    # partway through size 9, as it does without separator reuse.
+    assert len(calls) < 300
+    assert (res.index, res.unknown_below) == (10, 9)
+    assert fs.decide(f, res.witness).scalable
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_kept_separator_rejects_only_above_its_threshold(mode, monkeypatch):
+    # In dimension 2, F(x) = (x1^2 - x2^2, x1 x2), so h = (0, 1) reads
+    # x1 x2: 0 on the basis, 1 and 2 on columns 2 and 3, 5e-10 on column 4.
+    f = fs.build_frame(2, [(1, 0), (0, 1), (1, 1), (1, 2), (1, 5e-10)])
+    search = subsets._SubsetSearch(f, mode)
+    search._keep(fs.Separator(h=np.array([0.0, 1.0]), margin=1.0,
+                              indices=(2, 3),
+                              h_exact=(Fraction(0), Fraction(1))))
+    calls = _count_decides(monkeypatch)
+    assert search.decide((2, 3)) is None
+    assert search.decide((0, 1)).scalable  # h is 0 there: no rejection
+    # 5e-10 lies inside the float band but is a positive rational.
+    assert (search.decide((2, 4)) is None) == (mode == "exact")
+    assert len(calls) == 1 + (mode == "float")

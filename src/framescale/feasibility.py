@@ -1,16 +1,22 @@
 """The decision core: can a frame be rescaled into a tight frame?
 
 A frame is scalable exactly when 0 lies in the convex hull of the
-transformed columns F(phi_k); otherwise a direction h separates them all,
-<F(phi_k), h> > 0.  ``decide`` answers with one LP, phase 1 on the weight
-polytope {F u = 0, sum u = 1, u >= 0}.  When it is feasible, its basic
-point is the weights certificate, with support at most d + 1.  When it is
-not, its Farkas duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k,
-so -h is the separator.  Scalable subsets then get the strict question,
-the max-min-weight program.  Both certificates are re-checked before they
-are returned.
+transformed columns F(phi_k), and strictly scalable when it lies in the
+relative interior; otherwise a direction h separates them all,
+<F(phi_k), h> > 0.  ``decide`` answers both questions with one LP, the
+max-min-weight program
 
-Mode ``"exact"`` runs the same sequence with rational pivots.  Float
+    maximize s  subject to  F u = 0,  sum u = 1,  u = v + s 1,  v, s >= 0.
+
+Its phase 1 is phase 1 on the weight polytope {F u = 0, sum u = 1, u >= 0}.
+When that polytope is empty, the Farkas duals y = (h, s) satisfy
+-h'F(phi_k) >= s > 0 for every k, so -h is the separator.  Otherwise phase
+2 continues from the phase-1 vertex to the optimum s*; its point is the
+weights certificate, strict when s* clears a threshold and a basic point
+with support at most d + 1 when s* = 0.  Both certificates are re-checked
+before they are returned.
+
+Mode ``"exact"`` runs the same program with rational pivots.  Float
 separators whose re-verified margin falls inside a small band are flagged
 and, by default, re-decided that way when at most ``EXACT_CAP`` columns are
 active.  ``separator_search`` keeps the max-margin program
@@ -73,8 +79,9 @@ class Verdict:
     ``t_star`` is the re-verified margin of the separator on non-scalable
     verdicts and 0.0 on scalable ones.  ``s_star`` is the optimum of the
     max-min-weight program on scalable verdicts; ``None`` there means that
-    the strict LP failed, so strictness was not determined (``strict`` is
-    False then).
+    phase 2 did not reach its optimum, so strictness was not determined
+    (``strict`` is False then and the weights are its last, verified
+    point).
     """
 
     scalable: bool
@@ -168,29 +175,17 @@ def separator_search(fi: FImage, subset=None) -> tuple[float, np.ndarray]:
     return float(t_star), h
 
 
-def _weight_lp(g: np.ndarray):
-    """Phase 1 on the weight polytope {g u = 0, sum u = 1, u >= 0}.
+def _max_min_weight(g: np.ndarray):
+    """The max-min-weight program on columns g: u = v + s 1 with v, s >= 0,
 
-    Returns ``(u, None)`` with a basic point u, or ``(None, h)`` with the
-    separator h read off the Farkas duals.  The objective is zero, so
-    phase 2 has nothing to do.
-    """
-    d, k = g.shape
-    a = np.vstack([g, np.ones((1, k), dtype=g.dtype)])
-    b = np.zeros(d + 1, dtype=g.dtype)
-    b[-1] = 1
-    res = _solve(g, a, b, np.zeros(k, dtype=g.dtype))
-    if res.status == simplex.INFEASIBLE:
-        return None, -res.ray[:d]
-    return res.x, None
+        maximize s  subject to  g u = 0,  sum u = 1.
 
-
-def _strict_lp(g: np.ndarray):
-    """Optimum s* and maximizer u of the max-min-weight program.
-
-    u = v + s*1 with v, s >= 0, maximize s.  It only runs on subsets
-    already known to be scalable, where s = 0 is feasible, so s needs no
-    negative part.
+    Returns ``(None, None, h)`` with the separator h read off the Farkas
+    duals when the weight polytope is empty, else ``(u, s*, None)`` with u
+    the last basic point, and s* ``None`` when phase 2 stopped short of its
+    optimum.  The s column is the sum of the v columns, so in exact
+    arithmetic Bland's rule lets it enter only once the v columns are done:
+    phase 1 pivots as it would on the weight polytope alone.
     """
     d, k = g.shape
     a = np.zeros((d + 1, k + 1), dtype=g.dtype)
@@ -204,39 +199,38 @@ def _strict_lp(g: np.ndarray):
     c[k] = -1
     res = _solve(g, a, b, c)
     if res.status == simplex.INFEASIBLE:
-        raise Infeasible("strict weight LP infeasible")
+        return None, None, -res.ray[:d]
+    s_star = res.x[k]
     if res.status != simplex.OPTIMAL:
-        raise LPNumericalFailure(f"strict weight LP ended with {res.status}")
-    return res.x[k], res.x[:k] + res.x[k]
+        logger.warning("strictness not determined: phase 2 ended with %s",
+                       res.status)
+        s_star = None
+    return res.x[:k] + res.x[k], s_star, None
 
 
 def weight_recovery(fi: FImage, frame: Frame, subset=None,
-                    strict: bool = False, *,
-                    tol_tight: float = DEFAULT_TIGHT_TOL,
-                    strict_threshold: float = DEFAULT_STRICT_THRESHOLD
-                    ) -> ScalingWeights:
-    """Recover verified scaling weights on a subset already known scalable.
+                    strict: bool = False) -> ScalingWeights:
+    """Verified scaling weights on a subset already known scalable.
 
-    Non-strict mode returns a basic feasible point of the normalized kernel
-    polytope, so the support size never exceeds d + 1.  Strict mode solves
-    the max-min-weight program and returns its optimizer when the optimum
-    s* clears the strictness threshold; otherwise ``NotStrictlyScalable``
-    is raised, carrying s*.
+    Both modes read the max-min-weight program that ``decide`` runs and
+    return its maximizer; when the optimum s* is 0 that is a basic point,
+    so its support never exceeds d + 1.  Strict mode raises
+    ``NotStrictlyScalable``, carrying s*, unless s* clears the strictness
+    threshold.
     """
     subset = _normalize_subset(frame, subset)
     active = _active_columns(frame, subset)
     if not active:
         raise Infeasible("subset has no nonzero columns")
-    g = fi.columns(active)
-    if not strict:
-        u, _ = _weight_lp(g)
-        if u is None:
-            raise Infeasible("weight polytope is empty")
-        return _verified_weights(frame, active, u, tol_tight)
-    s_star, u = _strict_lp(g)
-    if s_star <= strict_threshold:
+    u, s_star, _ = _max_min_weight(fi.columns(active))
+    if u is None:
+        raise Infeasible("weight polytope is empty")
+    if strict and s_star is None:
+        raise LPNumericalFailure("max-min-weight program stopped short "
+                                 "of its optimum")
+    if strict and s_star <= DEFAULT_STRICT_THRESHOLD:
         raise NotStrictlyScalable(float(s_star))
-    return _verified_weights(frame, active, u, tol_tight)
+    return _verified_weights(frame, active, u, DEFAULT_TIGHT_TOL)
 
 
 def _verified_weights(frame: Frame, active, u_active,
@@ -284,35 +278,25 @@ def _decide_dim1(frame: Frame, subset, resolved_by="float") -> Verdict:
 def _decide_columns(g: np.ndarray, subset, separator, weights, spans,
                     threshold, resolved_by: str) -> Verdict:
     """The decision on the columns g of the active subset, over their
-    number type: the weight LP gives a separator or weights, and the strict
-    LP runs on scalable subsets only.  ``separator(h)`` and ``weights(u)``
-    package and re-verify a certificate, ``spans()`` tells whether the
-    subset spans, and s* above ``threshold`` counts as strict."""
-    u, h = _weight_lp(g)
+    number type, from the one max-min-weight program.  ``separator(h)`` and
+    ``weights(u)`` package and re-verify a certificate, ``spans()`` tells
+    whether the subset spans, and s* above ``threshold`` counts as strict."""
+    u, s_star, h = _max_min_weight(g)
     if u is None:
         sep = separator(h)
         return Verdict(scalable=False, strict=False, certificate=sep,
                        boundary_flag=False, t_star=sep.margin, s_star=None,
                        subset=subset, spans=spans(), resolved_by=resolved_by)
-    w = weights(u)
-    strict, s_star = False, None
-    try:
-        s, u = _strict_lp(g)
-        if s > threshold:
-            w, strict = weights(u), True
-        s_star = float(s)
-    except (Infeasible, LPNumericalFailure) as e:
-        # The weights above are verified; only strictness stays unknown.
-        logger.warning("strictness not determined: %s", e)
-    return Verdict(scalable=True, strict=strict, certificate=w,
-                   boundary_flag=False, t_star=0.0, s_star=s_star,
+    return Verdict(scalable=True,
+                   strict=s_star is not None and bool(s_star > threshold),
+                   certificate=weights(u), boundary_flag=False, t_star=0.0,
+                   s_star=None if s_star is None else float(s_star),
                    subset=subset, spans=True, resolved_by=resolved_by)
 
 
 def decide(frame: Frame, subset=None, mode: str = "float", *,
            band: float = DEFAULT_BOUNDARY_BAND,
            tol_tight: float = DEFAULT_TIGHT_TOL,
-           strict_threshold: float = DEFAULT_STRICT_THRESHOLD,
            on_boundary: str = "resolve",
            rational=None) -> Verdict:
     """Decide scalability of a column subset, with a verified certificate.
@@ -350,7 +334,7 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
             lambda h: _package_separator(fi, h, active),
             lambda u: _verified_weights(frame, active, u, tol_tight),
             lambda: numerical_rank(frame.matrix[:, list(subset)]) == frame.n,
-            strict_threshold, "float")
+            DEFAULT_STRICT_THRESHOLD, "float")
     except Infeasible:  # the weights failed their re-check
         if can_escalate:
             return escalate()
@@ -414,14 +398,13 @@ def cone_pointed(fi: FImage, subset=None) -> ConeFlags:
         raise ValueError("subset must be nonempty")
     if np.any(np.all(g == 0.0, axis=0)):
         raise ZeroColumn("cone test is undefined for zero frame vectors")
-    pointed = _weight_lp(g)[0] is None
+    pointed = _max_min_weight(g)[0] is None
     return ConeFlags(pointed=pointed, polar_interior_empty=not pointed)
 
 
 # --- alternative formulation over outer products ------------------------------
 
-def identity_in_outer_hull(frame: Frame, subset=None,
-                           feas_tol: float = 1e-9) -> bool:
+def identity_in_outer_hull(frame: Frame, subset=None) -> bool:
     """Scalability via the raw matrix formulation: is some positive
     multiple of the identity a convex combination of the outer products?
 
@@ -441,7 +424,7 @@ def identity_in_outer_hull(frame: Frame, subset=None,
     a[ident.size, :k] = 1.0
     b = np.zeros(ident.size + 1)
     b[-1] = 1.0
-    res = simplex.solve_lp(a, b, np.zeros(k + 1), feas_tol=feas_tol)
+    res = simplex.solve_lp(a, b, np.zeros(k + 1))
     return res.status == simplex.OPTIMAL
 
 

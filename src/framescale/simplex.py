@@ -15,7 +15,10 @@ The final basis is part of the result because the feasibility certificates
 elsewhere in the package are read off basic solutions.  An infeasible
 result carries the phase-1 duals instead: a Farkas ray y with y'A <= 0 and
 y'b > 0, which is how the package turns an empty weight polytope into a
-separating direction.
+separating direction.  A phase 1 that ends without an optimum raises
+``LPNumericalFailure``; a phase 2 that ends without one (unbounded, or out
+of iterations) returns its status with its last basic point, which is
+still primal feasible.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import LPNumericalFailure
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration limit"
 
 DEFAULT_COST_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
@@ -42,7 +46,7 @@ _to_fraction = np.frompyfunc(Fraction, 1, 1)
 @dataclass
 class LPResult:
     status: str
-    x: np.ndarray | None
+    x: np.ndarray | None            # last basic point unless INFEASIBLE
     objective: float | Fraction | None
     basis: list | None
     ray: np.ndarray | None = None   # Farkas ray of an INFEASIBLE result
@@ -87,7 +91,7 @@ def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
         tied = rows[ratios <= best]
         leaving = min(tied, key=lambda i: basis[i])
         _pivot(t, obj, basis, int(leaving), entering)
-    raise LPNumericalFailure("simplex iteration budget exhausted")
+    return ITERATION_LIMIT
 
 
 def _objective_row(t: np.ndarray, basis: list, costs: np.ndarray,
@@ -100,12 +104,12 @@ def _objective_row(t: np.ndarray, basis: list, costs: np.ndarray,
 
 
 def _extract(t: np.ndarray, basis: list, c: np.ndarray, n: int,
-             zero) -> LPResult:
+             zero, status: str) -> LPResult:
     x = np.full(n, zero, dtype=t.dtype)
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = t[i, -1]
-    return LPResult(OPTIMAL, x, c @ x, list(basis))
+    return LPResult(status, x, c @ x, list(basis))
 
 
 def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
@@ -131,7 +135,7 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
         obj = _objective_row(t, basis, costs1, zero)
         status = _run_simplex(t, obj, basis, n + m, cost_tol, pivot_tol)
         if status != OPTIMAL:
-            raise LPNumericalFailure("phase 1 did not terminate at an optimum")
+            raise LPNumericalFailure(f"phase 1 ended with {status}")
         if -obj[-1] > feas_tol:
             # The duals of the flipped rows are 1 minus the reduced costs
             # of the artificials; unflipping the rows gives y'A <= 0 and
@@ -158,13 +162,10 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
 
     obj = _objective_row(t, basis, c, zero)
     status = _run_simplex(t, obj, basis, n, cost_tol, pivot_tol)
-    if status != OPTIMAL:
-        return LPResult(status, None, None, None)
-    return _extract(t, basis, c, n, zero)
+    return _extract(t, basis, c, n, zero, status)
 
 
-def solve_lp(a, b, c, *, initial_basis=None, cost_tol=DEFAULT_COST_TOL,
-             pivot_tol=DEFAULT_PIVOT_TOL, feas_tol=DEFAULT_FEAS_TOL) -> LPResult:
+def solve_lp(a, b, c, *, initial_basis=None) -> LPResult:
     """Two-phase simplex over float64.
 
     ``initial_basis`` may name columns that already form an identity
@@ -172,7 +173,7 @@ def solve_lp(a, b, c, *, initial_basis=None, cost_tol=DEFAULT_COST_TOL,
     """
     res = _two_phase(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
                      np.asarray(c, dtype=float), initial_basis, 0.0,
-                     cost_tol, pivot_tol, feas_tol)
+                     DEFAULT_COST_TOL, DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL)
     if res.objective is not None:
         res.objective = float(res.objective)
     return res

@@ -90,9 +90,7 @@ class PerturbationWitness:
 
 
 def nonscalable_witness(frame: Frame, epsilon: float, seed=None, *,
-                        mode: str = "float",
-                        strict_threshold: float = DEFAULT_STRICT_THRESHOLD
-                        ) -> PerturbationWitness:
+                        mode: str = "float") -> PerturbationWitness:
     """A non-scalable frame within ``epsilon`` of a scalable one.
 
     Requires the constructive regime: the base frame is scalable, has
@@ -116,7 +114,7 @@ def nonscalable_witness(frame: Frame, epsilon: float, seed=None, *,
     if numerical_rank(rows) != m:
         raise HypothesisViolated("outer products are linearly dependent")
     weights = base_verdict.certificate
-    carried = np.flatnonzero(weights.u > strict_threshold)
+    carried = np.flatnonzero(weights.u > DEFAULT_STRICT_THRESHOLD)
     if carried.size == 0:
         raise HypothesisViolated("no column carries positive weight")
     column = int(carried[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import framescale as fs
-from framescale import exact, feasibility
+from framescale import exact, feasibility, simplex
 from framescale.feasibility import Separator
 from framescale.frames import ScalingWeights
 from conftest import random_orthogonal, random_scalable_frame
@@ -142,7 +142,8 @@ def test_decide_zero_columns_carried_with_zero_weight():
 
 def test_decide_separates_random_10x100_frame():
     # The max-margin separator program used to exhaust the simplex
-    # iteration budget here; the weight LP's Farkas duals do not.
+    # iteration budget here; the phase-1 Farkas duals of the weight
+    # polytope do not.
     f = fs.random_frame(10, 100, seed=0)
     v = fs.decide(f)
     assert not v.scalable and isinstance(v.certificate, Separator)
@@ -174,15 +175,76 @@ def test_decide_never_runs_the_separator_program(
 @pytest.mark.parametrize("error", [fs.LPNumericalFailure, fs.Infeasible])
 def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
                                                   caplog, mode, error):
-    def fail(*args, **kwargs):
-        raise error("injected")
+    if error is fs.LPNumericalFailure:
+        # Phase 2 (the second simplex run) stops at once at the phase-1
+        # vertex: the weights there are verified, strictness stays unknown.
+        run, calls = simplex._run_simplex, []
 
-    monkeypatch.setattr(feasibility, "_strict_lp", fail)
-    v = fs.decide(mercedes, mode=mode)
-    assert v.scalable and not v.strict and v.s_star is None
-    w = v.certificate
-    assert w.residual <= 1e-9 * w.alpha
-    assert "strictness not determined: injected" in caplog.text
+        def stop_phase_2(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                return simplex.ITERATION_LIMIT
+            return run(*args)
+
+        monkeypatch.setattr(simplex, "_run_simplex", stop_phase_2)
+        v = fs.decide(mercedes, mode=mode)
+        assert len(calls) == 2
+        assert v.scalable and not v.strict and v.s_star is None
+        w = v.certificate
+        assert w.residual <= 1e-9 * w.alpha
+        assert "strictness not determined" in caplog.text
+        return
+    # The weights fail their re-check once.  There is no second point to
+    # fall back to: float decide escalates, exact decide raises.
+    name = "_verified_weights" if mode == "float" else \
+        "_exact_weights_to_scaling"
+    check, calls = getattr(feasibility, name), []
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise fs.Infeasible("injected")
+        return check(*args)
+
+    monkeypatch.setattr(feasibility, name, fail_once)
+    if mode == "exact":
+        with pytest.raises(fs.Infeasible):
+            fs.decide(mercedes, mode=mode)
+        return
+    v = fs.decide(mercedes)
+    assert v.resolved_by == "exact" and v.boundary_flag
+    assert v.scalable and v.strict
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_decide_solves_one_lp(mercedes, quadrant, monkeypatch, mode):
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args, **kwargs):
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_lp", "solve_lp_exact"):
+        monkeypatch.setattr(simplex, name, counted(getattr(simplex, name)))
+    frames = [mercedes, quadrant]
+    if mode == "float":  # rational pivots at 10 x 60 take minutes
+        frames.append(random_scalable_frame(np.random.default_rng(13), 10, 60))
+    for frame in frames:
+        calls.clear()
+        v = fs.decide(frame, mode=mode)
+        assert v.resolved_by == mode
+        assert calls == ["solve_lp" if mode == "float" else "solve_lp_exact"]
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_float_and_exact_s_star_agree(mercedes, seed):
+    f = mercedes if seed is None else \
+        random_scalable_frame(np.random.default_rng(9000 + seed), 3, 7)
+    vf, ve = fs.decide(f), fs.decide(f, mode="exact")
+    assert vf.strict and ve.strict
+    assert abs(vf.s_star - float(ve.s_star)) <= 1e-12
 
 
 def test_band_applies_to_the_separator_margin(quadrant):

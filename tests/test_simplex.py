@@ -83,6 +83,9 @@ def test_detects_unbounded():
     c = np.array([0.0, 0.0, -1.0])
     res = simplex.solve_lp(a, b, c)
     assert res.status == simplex.UNBOUNDED
+    # The last basic point comes back, and it is still feasible.
+    np.testing.assert_allclose(a @ res.x, b, atol=1e-12)
+    assert np.all(res.x >= 0.0)
 
 
 def test_degenerate_problem_terminates():

@@ -4,8 +4,9 @@ Carving scaling weights down to a small support
 
 Any verified scaling weights can be pushed onto at most dim span of the
 outer products phi_k phi_k^T many columns, which is never more than
-N(N+1)/2.  The reduction repeatedly subtracts a dependence among the
-support projections with the largest step that keeps weights nonnegative.
+N(N+1)/2.  The reduction reads a vertex of the weight polytope
+{u >= 0 : F u = 0, sum u = 1} on the support of the given weights; the
+columns a vertex uses are few enough by Caratheodory's theorem.
 """
 
 import numpy as np

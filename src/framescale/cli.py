@@ -126,10 +126,6 @@ def _parse_csv(text: str):
     return n, vectors
 
 
-def _frame_from_file(ff: FrameFile) -> Frame:
-    return build_frame(ff.n, ff.vectors)
-
-
 def _floats(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
@@ -233,7 +229,7 @@ def _frame_doc(frame: Frame) -> dict:
 
 def _cmd_analyze(args, stdout) -> int:
     ff = load_frame_file(args.file)
-    frame = _frame_from_file(ff)
+    frame = build_frame(ff.n, ff.vectors)
     report = build_report(ff, frame, args)
     _emit(_dump(report), args, stdout)
     return EXIT_OK
@@ -241,7 +237,7 @@ def _cmd_analyze(args, stdout) -> int:
 
 def _cmd_certify(args, stdout) -> int:
     ff = load_frame_file(args.file)
-    frame = _frame_from_file(ff)
+    frame = build_frame(ff.n, ff.vectors)
     verdict = decide(frame, mode=args.mode, band=args.band,
                      tol_tight=args.tol)
     doc = {
@@ -259,7 +255,7 @@ def _cmd_certify(args, stdout) -> int:
 
 def _cmd_scale(args, stdout) -> int:
     ff = load_frame_file(args.file)
-    frame = _frame_from_file(ff)
+    frame = build_frame(ff.n, ff.vectors)
     verdict = decide(frame, mode=args.mode, band=args.band,
                      tol_tight=args.tol)
     if not verdict.scalable:
@@ -272,7 +268,7 @@ def _cmd_scale(args, stdout) -> int:
 
 def _cmd_fmap(args, stdout) -> int:
     ff = load_frame_file(args.file)
-    frame = _frame_from_file(ff)
+    frame = build_frame(ff.n, ff.vectors)
     fi = f_image(frame)
     doc = {"schema": SCHEMA_VERSION, "n": frame.n, "m": frame.m, "d": fi.d,
            "columns": [_floats(fi.matrix[:, k]) for k in range(frame.m)]}
@@ -282,7 +278,7 @@ def _cmd_fmap(args, stdout) -> int:
 
 def _cmd_subsets(args, stdout) -> int:
     ff = load_frame_file(args.file)
-    frame = _frame_from_file(ff)
+    frame = build_frame(ff.n, ff.vectors)
     result = is_m_scalable(frame, args.m, strict=args.strict,
                            budget=args.budget, mode=args.mode)
     doc = {
@@ -301,7 +297,7 @@ def _cmd_subsets(args, stdout) -> int:
 
 def _cmd_witness(args, stdout) -> int:
     ff = load_frame_file(args.file)
-    frame = _frame_from_file(ff)
+    frame = build_frame(ff.n, ff.vectors)
     witness = nonscalable_witness(frame, args.eps, seed=args.seed,
                                   mode=args.mode)
     doc = {

@@ -19,6 +19,8 @@ from math import lcm
 
 from .errors import DimensionTooSmall, TooLarge
 
+MAX_BASES = 2 * 10 ** 5  # most column bases polytope_vertices enumerates
+
 
 def to_fractions(vectors) -> list[list[Fraction]]:
     """Convert a list of vectors to exact rationals.
@@ -173,13 +175,13 @@ def solve_square(a_rows, b) -> list[Fraction] | None:
     return [aug[i][-1] for i in range(n)]
 
 
-def polytope_vertices(a_rows, b, *, max_bases: int = 2 * 10 ** 5
-                      ) -> list[list[Fraction]]:
+def polytope_vertices(a_rows, b) -> list[list[Fraction]]:
     """All vertices of {u >= 0 : A u = b}, by basis enumeration.
 
     The system is first reduced to full row rank; every vertex is the
     unique solution supported on some nonsingular column basis, so the
-    enumeration over column subsets is exhaustive.
+    enumeration over column subsets is exhaustive.  More than
+    ``MAX_BASES`` candidate bases raise ``TooLarge``.
     """
     reduced = _rref_augmented(a_rows, b)
     if reduced is None:
@@ -191,7 +193,7 @@ def polytope_vertices(a_rows, b, *, max_bases: int = 2 * 10 ** 5
         # support; with the normalization row present r >= 1 always.
         return [[Fraction(0)] * n]
     from math import comb
-    if comb(n, r) > max_bases:
+    if comb(n, r) > MAX_BASES:
         raise TooLarge(f"vertex enumeration over C({n},{r}) bases refused")
     verts = []
     seen = set()

@@ -175,6 +175,18 @@ def separator_search(fi: FImage, subset=None) -> tuple[float, np.ndarray]:
     return float(t_star), h
 
 
+def weight_polytope(g: np.ndarray):
+    """Standard form (A, b) of the weight polytope {g u = 0, sum u = 1,
+    u >= 0} on the columns g, over their number type."""
+    d, k = g.shape
+    a = np.zeros((d + 1, k), dtype=g.dtype)
+    a[:d] = g
+    a[d] = 1
+    b = np.zeros(d + 1, dtype=g.dtype)
+    b[-1] = 1
+    return a, b
+
+
 def _max_min_weight(g: np.ndarray):
     """The max-min-weight program on columns g: u = v + s 1 with v, s >= 0,
 
@@ -188,13 +200,8 @@ def _max_min_weight(g: np.ndarray):
     phase 1 pivots as it would on the weight polytope alone.
     """
     d, k = g.shape
-    a = np.zeros((d + 1, k + 1), dtype=g.dtype)
-    a[:d, :k] = g
-    a[:d, k] = g.sum(axis=1)
-    a[d, :k] = 1
-    a[d, k] = k
-    b = np.zeros(d + 1, dtype=g.dtype)
-    b[-1] = 1
+    a, b = weight_polytope(g)
+    a = np.column_stack([a, np.append(g.sum(axis=1), k)])
     c = np.zeros(k + 1, dtype=g.dtype)
     c[k] = -1
     res = _solve(g, a, b, c)

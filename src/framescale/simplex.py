@@ -80,7 +80,11 @@ def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
         if entering < 0:
             return OPTIMAL
         col = t[:, entering]
-        rows = np.flatnonzero(col > pivot_tol)
+        # A float entry far below the column's largest one is elimination
+        # residue, and pivoting on it wrecks the tableau; exact arithmetic
+        # leaves none.
+        tol = pivot_tol * max(1, col.max()) if pivot_tol else 0
+        rows = np.flatnonzero(col > tol)
         if rows.size == 0:
             return UNBOUNDED
         # b stays nonnegative in exact arithmetic; clamp float drift so a

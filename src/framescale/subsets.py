@@ -3,8 +3,9 @@
 A frame is m-scalable when some m of its columns already form a scalable
 frame.  Enumeration is the last resort: an m = N query reduces entirely to
 finding N pairwise-orthogonal columns, a negative full-frame verdict kills
-every subset at once, and a positive one can be compressed below the
-dimension of the outer-product span before any enumeration starts.
+every subset at once, and a positive one moves to a vertex of the weight
+polytope on the support before any enumeration starts; that vertex uses no
+more columns than the dimension of the outer-product span.
 
 Once the full frame is known scalable, separators prune the enumeration.
 A direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
@@ -24,17 +25,16 @@ from math import comb
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NumericalStall
-from .exact import f_vector_exact, frame_to_fractions, kernel_basis
-from .feasibility import DEFAULT_BOUNDARY_BAND, Separator, Verdict, decide
-from .fmap import f_image, outer_svec_rows
-from .frames import Frame, ScalingWeights, make_weights, numerical_rank
+from .exact import f_vector_exact, frame_to_fractions
+from .feasibility import (DEFAULT_BOUNDARY_BAND, Separator, Verdict, decide,
+                          weight_polytope)
+from .fmap import f_image
+from .frames import Frame, ScalingWeights, make_weights
+from .simplex import OPTIMAL, solve_lp
 
 DEFAULT_SUBSET_BUDGET = 10 ** 6
 DEFAULT_ORTHO_TOL = 1e-10
-
-# Singular value (relative) below which a dependence among outer products
-# is accepted during support reduction.
-DEPENDENCE_TOL = 1e-8
+REDUCE_TOL = 1e-8  # relative residual the weights of a reduction must meet
 
 logger = logging.getLogger(__name__)
 
@@ -110,21 +110,21 @@ class _SubsetSearch:
                      self.rejected, self.tried - self.rejected)
 
 
-def orthogonal_subbasis(frame: Frame,
-                        tol: float = DEFAULT_ORTHO_TOL) -> tuple | None:
+def orthogonal_subbasis(frame: Frame) -> tuple | None:
     """N pairwise-orthogonal nonzero columns, or None.
 
     Existence is equivalent to N-scalability (and to strict
     N-scalability).  Orthogonality is relative: |<phi_i, phi_j>| <=
-    tol |phi_i| |phi_j|.  Repeated identical columns never qualify as
-    distinct members, since they are not orthogonal to each other.
+    ``DEFAULT_ORTHO_TOL`` |phi_i| |phi_j|.  Repeated identical columns
+    never qualify as distinct members, since they are not orthogonal to
+    each other.
     """
     norms = frame.norms()
     cand = [k for k in range(frame.m) if norms[k] > 0.0]
     if len(cand) < frame.n:
         return None
     gram = np.abs(frame.matrix.T @ frame.matrix)
-    bound = tol * np.outer(norms, norms)
+    bound = DEFAULT_ORTHO_TOL * np.outer(norms, norms)
 
     def extend(chosen: list, start: int):
         if len(chosen) == frame.n:
@@ -204,90 +204,36 @@ def _pad(support, m: int, total: int) -> tuple:
     return tuple(sorted(chosen))
 
 
-def caratheodory_reduce(frame: Frame, weights: ScalingWeights, *,
-                        tol: float = 1e-8) -> ScalingWeights:
-    """Shrink the support of verified weights to at most dim span of the
-    outer products, preserving the tightness identity.
+def caratheodory_reduce(frame: Frame,
+                        weights: ScalingWeights) -> ScalingWeights:
+    """Move verified weights to a vertex of the weight polytope on their
+    support, preserving the tightness identity.
 
-    Norms are first absorbed into the weights so the outer products become
-    projections; while the support exceeds the rank of their span, some
-    dependence (automatically affine, by the trace) is subtracted with the
-    largest step that keeps the weights nonnegative, killing at least one
-    support point per round.
+    The vertex is the phase-1 point of {u >= 0 : F_S u = 0, sum u = 1}
+    over the nonzero support columns S.  Its support T has linearly
+    independent columns (F(phi_k), 1), and since F vanishes only on
+    multiples of the identity, which the outer products on a scalable T
+    span, |T| is at most dim span{phi_k phi_k^T : k in T} <= N(N+1)/2.
     """
-    if not weights.verify(frame, tol):
+    if not weights.verify(frame, REDUCE_TOL):
         raise ValueError("input weights do not verify on this frame")
     norms = frame.norms()
-    u = np.array(weights.u, dtype=float)
-    u[norms == 0.0] = 0.0  # zero columns contribute nothing
-    w = u * norms ** 2     # unit-norm absorbed weights
-    for _ in range(frame.m + 1):
-        support = np.flatnonzero(w > 0.0)
-        rows = outer_svec_rows(frame, support)
-        rows = rows / (norms[support] ** 2)[:, None]
-        rank = numerical_rank(rows)
-        if len(support) <= rank:
-            break
-        lam = _dependence(frame, support, rows)
-        if np.max(lam) <= 0.0:
-            lam = -lam
-        ws = w[support]
-        steps = np.full(len(support), np.inf)
-        pos = lam > 0.0
-        steps[pos] = ws[pos] / lam[pos]
-        kill = int(np.argmin(steps))
-        theta = steps[kill]
-        ws = ws - theta * lam
-        ws[kill] = 0.0
-        ws[ws < 0.0] = 0.0
-        # tied ratios leave ulp-level residue on entries that hit zero
-        # together with the killed one
-        ws[ws <= 1e-12 * ws.max()] = 0.0
-        w[:] = 0.0
-        w[support] = ws
-    else:
-        raise NumericalStall("support reduction did not terminate")
-    out = np.zeros(frame.m)
-    nz = w > 0.0
-    out[nz] = w[nz] / norms[nz] ** 2
-    result = make_weights(frame, out)
-    if result.residual > tol * result.alpha:
+    support = [k for k in weights.support if norms[k] > 0.0]
+    # In dimension 1 the transform has no coordinates: the polytope is the
+    # simplex and every single column is a vertex.
+    g = (f_image(frame).columns(support) if frame.n > 1
+         else np.zeros((0, len(support))))
+    a, b = weight_polytope(g)
+    res = solve_lp(a, b, np.zeros(len(support)))
+    if res.status != OPTIMAL:
+        raise NumericalStall(f"weight polytope on the support: {res.status}")
+    u = np.zeros(frame.m)
+    u[support] = res.x
+    result = make_weights(frame, u)
+    if result.residual > REDUCE_TOL * result.alpha:
         raise NumericalStall(
             f"reduced weights verify poorly: residual {result.residual:.3e}")
     return result
-
-
-def _dependence(frame: Frame, support, rows: np.ndarray) -> np.ndarray:
-    """A nonzero combination of the support projections summing to zero."""
-    lam = _left_null_vector(rows)
-    if lam is not None:
-        return lam
-    # Exact fallback: the projections are rational whenever the frame
-    # entries are, so the dependence can be read off an exact kernel.
-    cols = frame_to_fractions(frame)
-    exact_rows = []
-    for k in support:
-        col = cols[k]
-        n2 = sum(v * v for v in col)
-        exact_rows.append([col[i] * col[j] / n2
-                           for i in range(frame.n) for j in range(i, frame.n)])
-    basis = kernel_basis([[row[i] for row in exact_rows]
-                          for i in range(len(exact_rows[0]))])
-    if not basis:
-        raise NumericalStall("no dependence found despite the rank bound")
-    return np.array([float(v) for v in basis[0]])
-
-
-def _left_null_vector(rows: np.ndarray) -> np.ndarray | None:
-    """Unit lambda with lambda' rows ~ 0, if one exists numerically."""
-    u, sing, _ = np.linalg.svd(rows, full_matrices=True)
-    smax = sing[0] if sing.size else 0.0
-    k = rows.shape[0]
-    if sing.size < k:
-        return u[:, -1]
-    if sing[-1] <= DEPENDENCE_TOL * max(smax, 1e-300):
-        return u[:, -1]
-    return None
 
 
 def scalability_index(frame: Frame, *, budget: int = DEFAULT_SUBSET_BUDGET,

@@ -112,6 +112,16 @@ def test_analyze_mercedes(mercedes_file):
     assert report["condition_number"]["after"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_analyze_dimension_one(tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"n": 1, "vectors": [[2.0], [-1.0], [3.0]]}))
+    code, out, _ = run_cli(["analyze", str(path)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"]["scalable"]
+    assert report["verdict"]["scalability_index_upper_bound"] == 1
+
+
 def test_certify_quadrant_emits_separator(quadrant_file):
     code, out, _ = run_cli(["certify", quadrant_file])
     assert code == 0

@@ -83,6 +83,17 @@ def test_strict_weights_on_scalable_10x60_frame():
         <= 1e-8 * v.certificate.alpha
 
 
+def test_decide_planted_10x60_frame():
+    # A degenerate tie used to pick a pivot element of 1e-11 in a column
+    # whose largest entry is 54, and phase 1 then reported "unbounded".
+    rng = np.random.default_rng(98)
+    mat = rng.standard_normal((10, 60))
+    mat[:, :30] = random_scalable_frame(rng, 10, 30).matrix
+    f = fs.build_frame(10, mat.T)
+    v = fs.decide(f)
+    assert v.scalable and v.certificate.verify(f)
+
+
 def test_weight_recovery_infeasible_on_separated_frame(quadrant):
     with pytest.raises((fs.Infeasible, fs.NotStrictlyScalable)):
         fs.weight_recovery(fs.f_image(quadrant), quadrant)

@@ -152,8 +152,7 @@ def test_reduce_rejects_bad_weights(mercedes):
         fs.caratheodory_reduce(mercedes, bogus)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_reduce_support_bounded_by_span_dimension(seed):
+def _rotated_bases(seed):
     rng = np.random.default_rng(700 + seed)
     n = int(rng.integers(2, 4))
     copies = int(rng.integers(2, 5))
@@ -162,11 +161,38 @@ def test_reduce_support_bounded_by_span_dimension(seed):
         q = random_orthogonal(rng, n)
         cols.extend(q.T)
     f = fs.build_frame(n, cols)
-    w = fs.make_weights(f, np.full(f.m, 1.0 / f.m))
+    return f, fs.make_weights(f, np.full(f.m, 1.0 / f.m))
+
+
+def _scalable_10x60(seed):
+    f = random_scalable_frame(np.random.default_rng(seed), 10, 60)
+    return f, fs.decide(f).certificate
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [pytest.param(_rotated_bases, s, id=str(s)) for s in range(10)]
+    + [pytest.param(_scalable_10x60, s, id=f"10x60-{s}") for s in (710, 711)])
+def test_reduce_support_bounded_by_span_dimension(make, seed):
+    f, w = make(seed)
     r = fs.caratheodory_reduce(f, w)
+    n = f.n
     m_phi = fs.outer_dims(f).linear_dim
     assert len(r.support) <= m_phi <= n * (n + 1) // 2
-    assert len(r.support) <= len(w.support)
+    assert set(r.support) <= set(w.support)
+    assert r.residual <= 1e-8 * r.alpha
+    # Carathéodory on the reduced support itself: the columns
+    # (F(phi_k), 1) are linearly independent there.
+    g = fs.f_image(f).columns(r.support)
+    lifted = np.vstack([g, np.ones(len(r.support))])
+    assert fs.numerical_rank(lifted) == len(r.support)
+
+
+def test_reduce_dimension_one():
+    f = fs.build_frame(1, [(2,), (-1,), (3,)])
+    w = fs.make_weights(f, np.full(3, 1 / 3))
+    r = fs.caratheodory_reduce(f, w)
+    assert len(r.support) == 1
     assert r.residual <= 1e-8 * r.alpha
 
 

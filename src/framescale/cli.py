@@ -60,7 +60,11 @@ def load_frame_file(path: str) -> FrameFile:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FrameFileError(f"not UTF-8 text: {e.reason} at byte "
+                             f"{e.start}") from None
     if path.endswith(".csv"):
         n, vectors = _parse_csv(text)
         labels = None
@@ -75,13 +79,17 @@ def _parse_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FrameFileError(f"invalid JSON: {e.msg}", line=e.lineno) from e
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise FrameFileError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise FrameFileError("top level must be an object")
     if "n" not in doc or "vectors" not in doc:
         raise FrameFileError('missing required keys "n" and "vectors"')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FrameFileError('"n" must be a positive integer')
+    if not isinstance(doc["vectors"], list):
+        raise FrameFileError('"vectors" must be a list of vectors')
     vectors = []
     for i, vec in enumerate(doc["vectors"]):
         if not isinstance(vec, list) or len(vec) != n:
@@ -92,7 +100,11 @@ def _parse_json(text: str):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise FrameFileError(
                     f"vector {i} entry {j} is not a number", field=i)
-            row.append(float(v))
+            try:
+                row.append(float(v))
+            except OverflowError:  # an integer past the float range
+                raise FrameFileError(f"vector {i} entry {j} is out of range",
+                                     field=i) from None
         vectors.append(row)
     labels = doc.get("labels")
     if labels is not None:

@@ -55,7 +55,9 @@ class BudgetExceeded(FrameScaleError):
 
 
 class NumericalStall(FrameScaleError):
-    """Support reduction could not find the guaranteed dependence numerically."""
+    """Support reduction failed numerically: the LP on the weight polytope
+    of the support did not end at a basic point, or the reduced weights
+    fail their re-check."""
 
 
 class HypothesisViolated(FrameScaleError):

@@ -3,9 +3,12 @@
 Float verdicts elsewhere in the package are cross-checked against routines
 in this module, so everything here works over ``Fraction`` entries and is
 deliberately independent of the numpy code paths: the transform is
-re-evaluated in rational arithmetic, kernels come from fraction-free
-(Bareiss) elimination over integers, and feasibility of the normalized
-weight polytope is decided by enumerating its basic solutions.
+re-evaluated in rational arithmetic, and feasibility of the normalized
+weight polytope is decided by enumerating its basic solutions.  One
+elimination serves every solve: fraction-free (Bareiss) elimination over
+integers, ``fraction_free_echelon``.  Ranks read its pivots, kernels
+back-substitute its rows, square systems are read off a kernel, and the
+vertex enumeration solves over its rows.
 
 Instances are small by contract (a dozen columns or so), which keeps the
 enumeration and the big-integer growth trivial.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 from .errors import DimensionTooSmall, TooLarge
 
@@ -131,83 +134,48 @@ def kernel_basis(rows) -> list[list[Fraction]]:
     return basis
 
 
-def _rref_augmented(a_rows, b) -> list[list[Fraction]] | None:
-    """Reduced row echelon form of [A | b]; None when inconsistent."""
-    aug = [[Fraction(v) for v in row] + [Fraction(bv)]
-           for row, bv in zip(a_rows, b)]
-    m = len(aug)
-    n = len(aug[0]) - 1
-    rank = 0
-    for col in range(n):
-        pr = next((i for i in range(rank, m) if aug[i][col] != 0), -1)
-        if pr < 0:
-            continue
-        aug[rank], aug[pr] = aug[pr], aug[rank]
-        piv = aug[rank][col]
-        aug[rank] = [v / piv for v in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[rank])]
-        rank += 1
-    for i in range(rank, m):
-        if aug[i][-1] != 0:
-            return None
-    return aug[:rank]
-
-
 def solve_square(a_rows, b) -> list[Fraction] | None:
-    """Solve a square rational system; None when singular."""
-    n = len(a_rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(bv)]
-           for row, bv in zip(a_rows, b)]
-    for col in range(n):
-        pr = next((i for i in range(col, n) if aug[i][col] != 0), -1)
-        if pr < 0:
-            return None
-        aug[col], aug[pr] = aug[pr], aug[col]
-        piv = aug[col][col]
-        aug[col] = [v / piv for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * p for v, p in zip(aug[i], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+    """Solve a square rational system A x = b; None when A is singular.
+
+    Reads the kernel of [A | -b] off the Bareiss echelon: x solves the
+    system exactly when (x, 1) spans that kernel.  Any other kernel, of
+    two or more basis vectors or with last coordinate 0, means A is
+    singular.
+    """
+    kernel = kernel_basis([[*row, -bv] for row, bv in zip(a_rows, b)])
+    if len(kernel) != 1 or kernel[0][-1] == 0:
+        return None
+    return kernel[0][:-1]
 
 
 def polytope_vertices(a_rows, b) -> list[list[Fraction]]:
     """All vertices of {u >= 0 : A u = b}, by basis enumeration.
 
-    The system is first reduced to full row rank; every vertex is the
-    unique solution supported on some nonsingular column basis, so the
-    enumeration over column subsets is exhaustive.  More than
-    ``MAX_BASES`` candidate bases raise ``TooLarge``.
+    The Bareiss echelon of [A | b] reduces the system to full row rank; a
+    pivot in its last column means the system is inconsistent.  Every
+    vertex is the unique solution supported on some nonsingular column
+    basis of the integer echelon rows, so the enumeration over column
+    subsets is exhaustive.  More than ``MAX_BASES`` candidate bases raise
+    ``TooLarge``.
     """
-    reduced = _rref_augmented(a_rows, b)
-    if reduced is None:
-        return []
-    r = len(reduced)
     n = len(a_rows[0])
-    if r == 0:
-        # A = 0: feasible iff b = 0, and then the only vertex set is empty
-        # support; with the normalization row present r >= 1 always.
+    ech, pivots = fraction_free_echelon(
+        [[*row, bv] for row, bv in zip(a_rows, b)])
+    if pivots and pivots[-1] == n:
+        return []
+    r = len(ech)
+    if r == 0:  # A = 0 and b = 0: the origin is the only vertex
         return [[Fraction(0)] * n]
-    from math import comb
     if comb(n, r) > MAX_BASES:
         raise TooLarge(f"vertex enumeration over C({n},{r}) bases refused")
-    verts = []
-    seen = set()
+    rhs = [row[-1] for row in ech]
+    verts = {}  # keyed by the vertex, in order of first basis
     for cols in combinations(range(n), r):
-        sub = [[reduced[i][j] for j in cols] for i in range(r)]
-        rhs = [reduced[i][-1] for i in range(r)]
-        sol = solve_square(sub, rhs)
+        sol = solve_square([[row[j] for j in cols] for row in ech], rhs)
         if sol is None or any(s < 0 for s in sol):
             continue
         u = [Fraction(0)] * n
         for j, s in zip(cols, sol):
             u[j] = s
-        key = tuple(u)
-        if key not in seen:
-            seen.add(key)
-            verts.append(u)
-    return verts
+        verts.setdefault(tuple(u), u)
+    return list(verts.values())

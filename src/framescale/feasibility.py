@@ -161,17 +161,14 @@ def _separator_lp(g: np.ndarray):
     return res.x[2 * d] - res.x[2 * d + 1], res.x[:d] - res.x[d:2 * d]
 
 
-def separator_search(fi: FImage, subset=None) -> tuple[float, np.ndarray]:
+def separator_search(fi: FImage) -> tuple[float, np.ndarray]:
     """Best margin t* and a direction achieving it.
 
-    t* > 0 means the open half-space cones of the tested columns share a
-    point, so the subset is not scalable; t* = 0 means the origin lies in
-    the convex hull of the tested columns and the subset is scalable.
+    t* > 0 means the open half-space cones of the transformed columns
+    share a point, so the frame is not scalable; t* = 0 means the origin
+    lies in their convex hull and the frame is scalable.
     """
-    g = fi.columns(subset)
-    if g.shape[1] == 0:
-        raise ValueError("subset must be nonempty")
-    t_star, h = _separator_lp(g)
+    t_star, h = _separator_lp(fi.matrix)
     return float(t_star), h
 
 
@@ -389,7 +386,7 @@ def separator_from_sign(frame: Frame, witness: SignWitness) -> Separator:
 
 # --- cone geometry ----------------------------------------------------------
 
-def cone_pointed(fi: FImage, subset=None) -> ConeFlags:
+def cone_pointed(fi: FImage) -> ConeFlags:
     """Pointedness of the cone generated by the transformed columns.
 
     The cone fails to be pointed exactly when a nonzero nonnegative kernel
@@ -398,11 +395,7 @@ def cone_pointed(fi: FImage, subset=None) -> ConeFlags:
     weight polytope of ``decide`` being nonempty; the polar cone has empty
     interior in exactly the same case.  Zero columns are refused.
     """
-    if subset is None:
-        subset = tuple(range(fi.m))
-    g = fi.columns(subset)
-    if g.shape[1] == 0:
-        raise ValueError("subset must be nonempty")
+    g = fi.matrix
     if np.any(np.all(g == 0.0, axis=0)):
         raise ZeroColumn("cone test is undefined for zero frame vectors")
     pointed = _max_min_weight(g)[0] is None
@@ -411,17 +404,14 @@ def cone_pointed(fi: FImage, subset=None) -> ConeFlags:
 
 # --- alternative formulation over outer products ------------------------------
 
-def identity_in_outer_hull(frame: Frame, subset=None) -> bool:
+def identity_in_outer_hull(frame: Frame) -> bool:
     """Scalability via the raw matrix formulation: is some positive
     multiple of the identity a convex combination of the outer products?
 
     Solved as a feasibility LP over vectorized symmetric matrices; kept as
     an independent route for cross-checking the transform-based decision.
     """
-    subset = _normalize_subset(frame, subset)
-    active = _active_columns(frame, subset)
-    if not active:
-        return False
+    active = _active_columns(frame, range(frame.m))
     rows = outer_svec_rows(frame, active)  # one row per column of the frame
     ident = svec(np.eye(frame.n))
     k = len(active)
@@ -476,12 +466,12 @@ def _exact_spans(cols, active, n) -> bool:
 def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
     """Certificate-exact decision over rational arithmetic.
 
-    The kernel of the transformed subset is computed by fraction-free
-    elimination; existence of a nonnegative (resp. everywhere-positive)
-    kernel point is then decided by enumerating the vertices of the
-    normalized weight polytope.  The dual branch produces an exact
-    separating direction from the rational-pivot simplex and the two
-    branches are asserted to agree.
+    Existence of a nonnegative (resp. everywhere-positive) kernel point
+    of the transformed subset is decided by enumerating the vertices of
+    the normalized weight polytope; when the subset has no kernel, that
+    system is inconsistent and the enumeration returns no vertex at once.
+    The dual branch produces an exact separating direction from the
+    rational-pivot simplex and the two branches are asserted to agree.
 
     Frame entries convert losslessly to rationals; pass ``rational`` when
     the intended entries are not float-representable (e.g. 50-digit
@@ -500,12 +490,8 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
     g_cols = [exact.f_vector_exact(cols[k]) for k in active]
     g_rows = [[col[i] for col in g_cols] for i in range(len(g_cols[0]))]
 
-    kernel = exact.kernel_basis(g_rows)
-    verts = []
-    if kernel:
-        ones = [Fraction(1)] * len(active)
-        verts = exact.polytope_vertices(g_rows + [ones],
-                                        [Fraction(0)] * len(g_rows) + [Fraction(1)])
+    verts = exact.polytope_vertices(g_rows + [[1] * len(active)],
+                                    [0] * len(g_rows) + [1])
     if verts:
         supports = [frozenset(i for i, v in enumerate(u) if v > 0)
                     for u in verts]

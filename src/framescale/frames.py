@@ -144,7 +144,7 @@ def make_weights(frame: Frame, u: np.ndarray, *, normalize: bool = True,
 
 
 def build_frame(n: int, vectors) -> Frame:
-    """Validate a list of M >= n length-n vectors as a frame for R^n."""
+    """Validate a list of M >= n finite length-n vectors as a frame for R^n."""
     if n < 1:
         raise DimensionMismatch("ambient dimension must be at least 1")
     vecs = [np.asarray(v, dtype=float).reshape(-1) for v in vectors]
@@ -155,6 +155,8 @@ def build_frame(n: int, vectors) -> Frame:
     if len(vecs) < n:
         raise NotAFrame(f"{len(vecs)} vectors cannot span R^{n}")
     matrix = np.column_stack(vecs)
+    if not np.all(np.isfinite(matrix)):
+        raise NotAFrame("frame vectors must have finite entries")
     rank = numerical_rank(matrix)
     if rank < n:
         raise NotAFrame(f"rank {rank} < {n}: the vectors do not span R^{n}")
@@ -182,8 +184,7 @@ def is_tight(frame: Frame, tol: float = DEFAULT_TIGHT_TOL) -> Tightness:
                      alpha=alpha)
 
 
-def apply_orthogonal(frame: Frame, t: np.ndarray,
-                     tol: float = DEFAULT_ORTHOGONAL_TOL) -> Frame:
+def apply_orthogonal(frame: Frame, t: np.ndarray) -> Frame:
     """Rotate/reflect every frame vector by the orthogonal matrix ``t``.
 
     Scalability verdicts are invariant under this operation.
@@ -192,8 +193,9 @@ def apply_orthogonal(frame: Frame, t: np.ndarray,
     if t.shape != (frame.n, frame.n):
         raise DimensionMismatch(f"transform must be {frame.n} x {frame.n}")
     defect = float(np.linalg.norm(t.T @ t - np.eye(frame.n)))
-    if defect > tol:
-        raise NotOrthogonal(f"|t'T t - I|_F = {defect:.3e} > {tol:.1e}")
+    if defect > DEFAULT_ORTHOGONAL_TOL:
+        raise NotOrthogonal(f"|t'T t - I|_F = {defect:.3e} > "
+                            f"{DEFAULT_ORTHOGONAL_TOL:.1e}")
     return build_frame(frame.n, (t @ frame.matrix).T)
 
 

@@ -187,14 +187,14 @@ class ClosednessProbe:
     margin: float
 
 
-def closedness_probe(frame: Frame, seed=None, samples: int = 100,
-                     mode: str = "float") -> ClosednessProbe:
+def closedness_probe(frame: Frame, seed=None,
+                     samples: int = 100) -> ClosednessProbe:
     """Sample perturbations of a non-scalable frame at half the certified
     radius and report the fraction still deciding non-scalable (which the
     radius guarantees to be all of them).  The radius grows with the
     margin, so it comes from the max-margin separator of
     ``separator_search`` rather than from the verdict's certificate."""
-    if decide(frame, mode=mode).scalable:
+    if decide(frame).scalable:
         raise ValueError("frame is scalable; no separation radius exists")
     if frame.degenerate:
         raise ValueError("closedness probe needs a nondegenerate frame")
@@ -209,7 +209,7 @@ def closedness_probe(frame: Frame, seed=None, samples: int = 100,
         bump = rng.standard_normal(frame.matrix.shape)
         bump *= (radius / 2.0) / np.linalg.norm(bump)
         nearby = build_frame(frame.n, (frame.matrix + bump).T)
-        if not decide(nearby, mode=mode).scalable:
+        if not decide(nearby).scalable:
             hits += 1
     return ClosednessProbe(radius=radius, samples=samples,
                            fraction_nonscalable=hits / samples,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import framescale as fs
-from framescale import cli
+from framescale import cli, exact
 
 
 def run_cli(argv):
@@ -61,11 +61,35 @@ def test_invalid_json_exits_2(tmp_path):
     assert "error" in err
 
 
-def test_missing_keys_exit_2(tmp_path):
+@pytest.mark.parametrize("raw", [
+    b'{"vectors": [[1, 0]]}',
+    b'{"n": 2, "vectors": 5}',
+    b'{"n": 2, "vectors": null}',
+    b'{"n": true, "vectors": [[1], [0]]}',
+    b'{"n": 2, "vectors": [[1, 0], [0, 1' + b"0" * 400 + b']]}',
+    b'{"n": 2, "vectors": [[1, 0], [0, 1' + b"0" * 5000 + b']]}',
+    b'\xff\xfe{"n": 2, "vectors": [[1, 0], [0, 1]]}',
+], ids=["missing-keys", "vectors-int", "vectors-null", "n-bool",
+        "int-past-float-range", "int-past-digit-limit", "not-utf8"])
+def test_missing_keys_exit_2(tmp_path, raw):
     path = tmp_path / "bad.json"
-    path.write_text('{"vectors": [[1, 0]]}')
-    code, _, _ = run_cli(["analyze", str(path)])
+    path.write_bytes(raw)
+    code, _, err = run_cli(["analyze", str(path)])
     assert code == cli.EXIT_PARSE
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("nan.json", '{"n": 2, "vectors": [[1, 0], [0, NaN], [1, 1]]}'),
+    ("nan.csv", "1,0\n0,nan\n1,1\n"),
+    ("inf.json", '{"n": 2, "vectors": [[1, 0], [0, Infinity], [1, 1]]}'),
+])
+def test_non_finite_entry_exits_3(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, _, err = run_cli(["analyze", str(path)])
+    assert code == cli.EXIT_NOT_A_FRAME
+    assert err.startswith("error: ")
 
 
 def test_csv_bad_entry_reports_location(tmp_path):
@@ -209,7 +233,7 @@ def test_random_roundtrip(tmp_path):
                                   fs.random_frame(3, 5, seed=9).matrix)
 
 
-def test_exact_mode_adds_rational_strings(mercedes_file):
+def test_exact_mode_adds_rational_strings(mercedes_file, quadrant_file):
     code, out, _ = run_cli(["certify", mercedes_file, "--mode", "exact"])
     assert code == 0
     doc = json.loads(out)
@@ -218,6 +242,18 @@ def test_exact_mode_adds_rational_strings(mercedes_file):
     from fractions import Fraction
     total = sum(Fraction(s) for s in ratio)
     assert total == 1
+
+    # The separator strings: h_rational has margin_rational, exactly,
+    # against the rational transform of the file's vectors.
+    code, out, _ = run_cli(["certify", quadrant_file, "--mode", "exact"])
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    h = [Fraction(s) for s in cert["h_rational"]]
+    margin = Fraction(cert["margin_rational"])
+    vectors = cli.load_frame_file(quadrant_file).vectors
+    products = [sum(hi * gi for hi, gi in zip(h, exact.f_vector_exact(x)))
+                for x in exact.to_fractions(vectors)]
+    assert min(products) == margin > 0
 
 
 @pytest.mark.parametrize("command, target, error", [

@@ -32,6 +32,14 @@ def test_build_frame_too_few_vectors():
         fs.build_frame(3, [(1, 0, 0), (0, 1, 0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_frame_rejects_non_finite_entries(bad):
+    # Without the check, NaN reaches the SVD of the rank test and raises
+    # numpy's LinAlgError.
+    with pytest.raises(fs.NotAFrame, match="finite"):
+        fs.build_frame(2, [(1, 0), (0, bad), (1, 1)])
+
+
 def test_zero_column_sets_degenerate_flag():
     f = fs.build_frame(2, [(1, 0), (0, 1), (0, 0)])
     assert f.degenerate

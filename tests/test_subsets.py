@@ -277,6 +277,18 @@ def _hadamard_plus_integers(seed):
     return fs.build_frame(4, [cols[k] for k in rng.permutation(9)])
 
 
+def _tetrahedron_plus_integers(seed):
+    """3 x 7 integer frame: the vertices of a regular tetrahedron (sum of
+    outer products 4 I, no two of them orthogonal) among three small random
+    integer columns.  Its reduced support is 5 and its index 4, so the
+    index walk steps down once."""
+    rng = np.random.default_rng(seed)
+    cols = list(rng.integers(-2, 3, size=(3, 3)).astype(float))
+    cols += [np.array(r, dtype=float) for r in
+             [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]]
+    return fs.build_frame(3, [cols[k] for k in rng.permutation(7)])
+
+
 def _with_zero_column(seed):
     f = random_scalable_frame(np.random.default_rng(seed), 3, 6)
     cols = list(f.columns)
@@ -289,6 +301,7 @@ BRUTE_FRAMES = {
     "3x7-seed1": lambda: random_scalable_frame(np.random.default_rng(1), 3, 7),
     "4x9-seed0": lambda: random_scalable_frame(np.random.default_rng(0), 4, 9),
     "4x9-integer": lambda: _hadamard_plus_integers(0),
+    "3x7-tetrahedron": lambda: _tetrahedron_plus_integers(5),
     "zero-column": lambda: _with_zero_column(2),
     "quadrant": None, "mercedes": None, "onb_plus": None,
 }

@@ -18,7 +18,7 @@ class NotOrthogonal(FrameScaleError):
 
 
 class DimensionTooSmall(FrameScaleError):
-    """The quadratic transform needs ambient dimension at least 2."""
+    """The sign test needs ambient dimension at least 2."""
 
 
 class ZeroColumn(FrameScaleError):

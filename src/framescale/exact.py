@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from .errors import DimensionTooSmall, TooLarge
+from .errors import TooLarge
 
 MAX_BASES = 2 * 10 ** 5  # most column bases polytope_vertices enumerates
 
@@ -52,10 +52,8 @@ def frame_to_fractions(frame, rational=None) -> list[list[Fraction]]:
 
 
 def f_vector_exact(x: list[Fraction]) -> list[Fraction]:
-    """Rational re-implementation of the quadratic transform."""
+    """Rational re-implementation of the quadratic transform ([] at N = 1)."""
     n = len(x)
-    if n < 2:
-        raise DimensionTooSmall("the transform needs dimension >= 2")
     out = [x[0] * x[0] - x[l] * x[l] for l in range(1, n)]
     for k in range(n - 1):
         out.extend(x[k] * x[j] for j in range(k + 1, n))

@@ -18,8 +18,8 @@ before they are returned.
 
 Mode ``"exact"`` runs the same program with rational pivots.  Float
 separators whose re-verified margin falls inside a small band are flagged
-and, by default, re-decided that way when at most ``EXACT_CAP`` columns are
-active.  ``separator_search`` keeps the max-margin program
+and re-decided that way when at most ``EXACT_CAP`` columns are active.
+``separator_search`` keeps the max-margin program
 
     maximize t  subject to  <F(phi_k), h> >= t  for k in the subset,
                             |h|_inf <= 1
@@ -212,49 +212,57 @@ def _max_min_weight(g: np.ndarray):
     return res.x[:k] + res.x[k], s_star, None
 
 
-def weight_recovery(fi: FImage, frame: Frame, subset=None,
-                    strict: bool = False) -> ScalingWeights:
-    """Verified scaling weights on a subset already known scalable.
-
-    Both modes read the max-min-weight program that ``decide`` runs and
-    return its maximizer; when the optimum s* is 0 that is a basic point,
-    so its support never exceeds d + 1.  Strict mode raises
-    ``NotStrictlyScalable``, carrying s*, unless s* clears the strictness
-    threshold.
-    """
-    subset = _normalize_subset(frame, subset)
-    active = _active_columns(frame, subset)
-    if not active:
-        raise Infeasible("subset has no nonzero columns")
-    u, s_star, _ = _max_min_weight(fi.columns(active))
-    if u is None:
-        raise Infeasible("weight polytope is empty")
-    if strict and s_star is None:
+def weight_recovery(frame: Frame, strict: bool = False) -> ScalingWeights:
+    """The weights certificate of ``decide``, escalated as ``decide`` does.
+    Raises ``Infeasible`` on a non-scalable verdict; strict mode raises
+    ``NotStrictlyScalable``, carrying s*, on a non-strict one and
+    ``LPNumericalFailure`` when s* was not determined."""
+    v = decide(frame)
+    if not v.scalable:
+        raise Infeasible("the frame is not scalable")
+    if strict and v.s_star is None:
         raise LPNumericalFailure("max-min-weight program stopped short "
                                  "of its optimum")
-    if strict and s_star <= DEFAULT_STRICT_THRESHOLD:
-        raise NotStrictlyScalable(float(s_star))
-    return _verified_weights(frame, active, u, DEFAULT_TIGHT_TOL)
+    if strict and not v.strict:
+        raise NotStrictlyScalable(v.s_star)
+    return v.certificate
 
 
-def _verified_weights(frame: Frame, active, u_active,
+def _verified_weights(frame: Frame, g: np.ndarray, active, u_active,
                       tol_tight: float) -> ScalingWeights:
+    """Float weights on the active columns g, re-checked; a first failure
+    gets one least-squares step onto {g u = 0, sum u = 1} on the support."""
     u = np.zeros(frame.m)
     u[list(active)] = u_active
     w = make_weights(frame, u)
+    if w.residual > tol_tight * w.alpha:
+        s = np.flatnonzero(u_active > 0.0)
+        a = np.vstack([g[:, s], np.ones(len(s))])
+        r = a @ u_active[s]
+        r[-1] -= 1.0
+        u[np.asarray(active)[s]] -= np.linalg.lstsq(a, r, rcond=None)[0]
+        w = make_weights(frame, u)
     if w.residual > tol_tight * w.alpha:
         raise Infeasible(
             f"recovered weights verify poorly: residual {w.residual:.3e}")
     return w
 
 
-def _package_separator(fi: FImage, h: np.ndarray, active) -> Separator:
-    scale = float(np.max(np.abs(h)))
-    if scale == 0.0:
+def _package_separator(g: np.ndarray, h: np.ndarray, indices) -> Separator:
+    """Scale h to |h|_inf = 1 and take its margin on the columns g.  Over
+    ``Fraction`` columns the margin must be positive, and the separator
+    keeps its exact direction and margin."""
+    scale = np.max(np.abs(h))
+    if scale == 0:
         raise LPNumericalFailure("separator direction is zero")
     hn = h / scale
-    margin = float(np.min(hn @ fi.columns(active)))
-    return Separator(h=_frozen(hn), margin=margin, indices=tuple(active))
+    margin = np.min(hn @ g)
+    sep = Separator(h=_frozen(hn), margin=float(margin), indices=tuple(indices))
+    if g.dtype != object:
+        return sep
+    if margin <= 0:
+        raise ArithmeticError("exact separator failed its margin check")
+    return replace(sep, h_exact=tuple(hn), margin_exact=margin)
 
 
 def _verdict_no_columns(subset) -> Verdict:
@@ -265,29 +273,17 @@ def _verdict_no_columns(subset) -> Verdict:
                    subset=subset, spans=False, resolved_by="float")
 
 
-def _decide_dim1(frame: Frame, subset, resolved_by="float") -> Verdict:
-    """Dimension 1 never reaches the transform: every spanning system on
-    the line is already tight, so uniform weights always work."""
-    active = _active_columns(frame, subset)
-    if not active:
-        return _verdict_no_columns(subset)
-    u = np.zeros(frame.m)
-    u[list(subset)] = 1.0 / len(subset)
-    w = make_weights(frame, u)
-    return Verdict(scalable=True, strict=True, certificate=w,
-                   boundary_flag=False, t_star=0.0, s_star=1.0 / len(subset),
-                   subset=subset, spans=True, resolved_by=resolved_by)
-
-
-def _decide_columns(g: np.ndarray, subset, separator, weights, spans,
-                    threshold, resolved_by: str) -> Verdict:
+def _decide_columns(g: np.ndarray, subset, active, weights, spans) -> Verdict:
     """The decision on the columns g of the active subset, over their
-    number type, from the one max-min-weight program.  ``separator(h)`` and
-    ``weights(u)`` package and re-verify a certificate, ``spans()`` tells
-    whether the subset spans, and s* above ``threshold`` counts as strict."""
+    number type, from the one max-min-weight program.  ``weights(u)``
+    packages and re-verifies the weights, ``spans()`` tells whether the
+    subset spans, and s* counts as strict above 0 for ``Fraction`` columns
+    and above ``DEFAULT_STRICT_THRESHOLD`` for floats."""
+    threshold, resolved_by = ((0, "exact") if g.dtype == object
+                              else (DEFAULT_STRICT_THRESHOLD, "float"))
     u, s_star, h = _max_min_weight(g)
     if u is None:
-        sep = separator(h)
+        sep = _package_separator(g, h, active)
         return Verdict(scalable=False, strict=False, certificate=sep,
                        boundary_flag=False, t_star=sep.margin, s_star=None,
                        subset=subset, spans=spans(), resolved_by=resolved_by)
@@ -301,31 +297,27 @@ def _decide_columns(g: np.ndarray, subset, separator, weights, spans,
 def decide(frame: Frame, subset=None, mode: str = "float", *,
            band: float = DEFAULT_BOUNDARY_BAND,
            tol_tight: float = DEFAULT_TIGHT_TOL,
-           on_boundary: str = "resolve",
            rational=None) -> Verdict:
     """Decide scalability of a column subset, with a verified certificate.
 
     Zero columns are carried with weight zero: they never affect the
     verdict and can never be separated.  Non-spanning subsets come back
-    non-scalable with ``spans`` False.  ``on_boundary`` controls what
-    happens when the re-verified margin of a float separator is at most
-    ``band``: ``"resolve"`` re-decides through the exact LP of mode
-    ``"exact"`` (when the subset has at most ``EXACT_CAP`` active columns),
-    ``"flag"`` only marks the verdict.  A certificate that fails its
-    re-check is re-decided exactly in either case, within the same cap.
+    non-scalable with ``spans`` False.  A float separator whose re-verified
+    margin is at most ``band``, and a float certificate that fails its
+    re-check, are re-decided through the exact LP of mode ``"exact"`` when
+    the subset has at most ``EXACT_CAP`` active columns; the verdict then
+    carries ``boundary_flag``.  Above the cap a band separator is only
+    flagged, and a failed re-check raises.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     subset = _normalize_subset(frame, subset)
-    if frame.n == 1:
-        return _decide_dim1(frame, subset,
-                            resolved_by="exact" if mode == "exact" else "float")
     if mode == "exact":
         return _decide_exact_lp(frame, subset, rational=rational)
     active = _active_columns(frame, subset)
     if not active:
         return _verdict_no_columns(subset)
-    fi = f_image(frame)
+    g = f_image(frame).columns(active)
     can_escalate = len(active) <= EXACT_CAP
 
     def escalate() -> Verdict:
@@ -334,18 +326,16 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
 
     try:
         v = _decide_columns(
-            fi.columns(active), subset,
-            lambda h: _package_separator(fi, h, active),
-            lambda u: _verified_weights(frame, active, u, tol_tight),
-            lambda: numerical_rank(frame.matrix[:, list(subset)]) == frame.n,
-            DEFAULT_STRICT_THRESHOLD, "float")
+            g, subset, active,
+            lambda u: _verified_weights(frame, g, active, u, tol_tight),
+            lambda: numerical_rank(frame.matrix[:, list(subset)]) == frame.n)
     except Infeasible:  # the weights failed their re-check
         if can_escalate:
             return escalate()
         raise
     if v.scalable or v.t_star > band:
         return v
-    if can_escalate and (on_boundary == "resolve" or v.t_star <= 0.0):
+    if can_escalate:
         return escalate()
     if v.t_star <= 0.0:
         raise LPNumericalFailure("separator failed re-verification")
@@ -378,10 +368,7 @@ def separator_from_sign(frame: Frame, witness: SignWitness) -> Separator:
     from .fmap import pair_index, target_dim
     h = np.zeros(target_dim(frame.n))
     h[pair_index(frame.n, witness.i, witness.j)] = float(witness.sign)
-    fi = f_image(frame)
-    indices = tuple(range(frame.m))
-    margin = float(np.min(h @ fi.matrix))
-    return Separator(h=_frozen(h), margin=margin, indices=indices)
+    return _package_separator(f_image(frame).matrix, h, range(frame.m))
 
 
 # --- cone geometry ----------------------------------------------------------
@@ -445,25 +432,12 @@ def _exact_weights_to_scaling(frame: Frame, active, cols,
                         u_exact=tuple(u_full), alpha_exact=alpha)
 
 
-def _exact_separator_package(active, g: np.ndarray, h) -> Separator:
-    scale = max(abs(v) for v in h)
-    if scale == 0:
-        raise LPNumericalFailure("exact separator direction is zero")
-    hn = h / scale
-    margin = min(hn @ g)
-    if margin <= 0:
-        raise ArithmeticError("exact separator failed its margin check")
-    return Separator(h=_frozen(hn.astype(float)),
-                     margin=float(margin), indices=tuple(active),
-                     h_exact=tuple(hn), margin_exact=margin)
-
-
 def _exact_spans(cols, active, n) -> bool:
     rows = [[cols[k][i] for k in active] for i in range(n)]
     return exact.rank_exact(rows) == n
 
 
-def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
+def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     """Certificate-exact decision over rational arithmetic.
 
     Existence of a nonnegative (resp. everywhere-positive) kernel point
@@ -478,9 +452,7 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
     approximations of radicals) and read the verdict as applying to that
     approximant, with the certificate margin quantifying its robustness.
     """
-    subset = _normalize_subset(frame, subset)
-    if frame.n == 1:
-        return _decide_dim1(frame, subset, resolved_by="exact")
+    subset = tuple(range(frame.m))
     cols = exact.frame_to_fractions(frame, rational)
     active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
     if not active:
@@ -514,7 +486,7 @@ def exact_oracle(frame: Frame, subset=None, *, rational=None) -> Verdict:
     if t_star <= 0:
         raise ArithmeticError(
             "exact routes disagree: no vertex, yet no positive separator")
-    sep = _exact_separator_package(active, g, h)
+    sep = _package_separator(g, h, active)
     return Verdict(scalable=False, strict=False, certificate=sep,
                    boundary_flag=False, t_star=float(t_star), s_star=None,
                    subset=subset, spans=_exact_spans(cols, subset, frame.n),
@@ -531,6 +503,6 @@ def _decide_exact_lp(frame: Frame, subset, rational=None) -> Verdict:
     g = np.array([exact.f_vector_exact(cols[k]) for k in active],
                  dtype=object).T
     return _decide_columns(
-        g, subset, lambda h: _exact_separator_package(active, g, h),
+        g, subset, active,
         lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),
-        lambda: _exact_spans(cols, subset, frame.n), 0, "exact")
+        lambda: _exact_spans(cols, subset, frame.n))

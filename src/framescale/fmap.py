@@ -3,7 +3,7 @@
 A frame can be rescaled to a tight frame exactly when the squared scalars
 solve a homogeneous linear system.  The carrier of that system is the map
 
-    F : R^N -> R^d,   d = (N-1)(N+2)/2,
+    F : R^N -> R^d,   d = (N-1)(N+2)/2   (d = 0 when N = 1),
 
 whose blocks are the differences of squares against the first coordinate
 followed by all pairwise products:
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionTooSmall
+from .errors import DimensionMismatch
 from .frames import Frame, _frozen, numerical_rank
 
 
@@ -51,12 +51,11 @@ def f_vector(x) -> np.ndarray:
     """Evaluate the transform at one vector, or the columns of a matrix.
 
     Nonvanishing: for N >= 2 and x != 0, F(x) != 0, because all pairwise
-    products zero plus all squares equal forces x = 0.
+    products zero plus all squares equal forces x = 0.  For N = 1 the image
+    is empty (d = 0): every nonzero vector on the line is already tight.
     """
     x = np.asarray(x)
     n = x.shape[0]
-    if n < 2:
-        raise DimensionTooSmall("the transform needs dimension >= 2")
     parts = [x[0] ** 2 - x[1:] ** 2]
     for k in range(n - 1):
         parts.append(x[k] * x[k + 1:])

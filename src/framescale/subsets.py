@@ -219,11 +219,7 @@ def caratheodory_reduce(frame: Frame,
         raise ValueError("input weights do not verify on this frame")
     norms = frame.norms()
     support = [k for k in weights.support if norms[k] > 0.0]
-    # In dimension 1 the transform has no coordinates: the polytope is the
-    # simplex and every single column is a vertex.
-    g = (f_image(frame).columns(support) if frame.n > 1
-         else np.zeros((0, len(support))))
-    a, b = weight_polytope(g)
+    a, b = weight_polytope(f_image(frame).columns(support))
     res = solve_lp(a, b, np.zeros(len(support)))
     if res.status != OPTIMAL:
         raise NumericalStall(f"weight polytope on the support: {res.status}")

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import HypothesisViolated, WitnessVerificationFailed
 from .feasibility import (DEFAULT_STRICT_THRESHOLD, EXACT_CAP, Separator,
-                          Verdict, decide, separator_search)
+                          Verdict, _package_separator, decide,
+                          separator_search)
 from .fmap import f_image, outer_svec_rows, svec
 from .frames import Frame, build_frame, numerical_rank
 
@@ -200,8 +201,7 @@ def closedness_probe(frame: Frame, seed=None,
         raise ValueError("closedness probe needs a nondegenerate frame")
     fi = f_image(frame)
     _, h = separator_search(fi)
-    separator = Separator(h=h, margin=float(np.min(h @ fi.matrix)),
-                          indices=tuple(range(frame.m)))
+    separator = _package_separator(fi.matrix, h, range(frame.m))
     radius = separation_radius(frame, separator)
     rng = np.random.default_rng(seed)
     hits = 0

@@ -76,11 +76,10 @@ def test_criterion_2_decider_agreement():
             continue
         made += 1
         frame = fs.build_frame(n, mat.T)
-        flagged = fs.decide(frame, on_boundary="flag")
-        if flagged.boundary_flag:
+        flagged = fs.decide(frame)
+        if flagged.boundary_flag:  # re-decided through exact when M <= 12
             band += 1
-            resolved = fs.decide(frame)  # default: resolve through exact
-            if resolved.resolved_by != "exact":
+            if flagged.resolved_by != "exact":
                 unresolved += 1
             continue
         exact_v = fs.exact_oracle(frame)

@@ -146,6 +146,30 @@ def test_analyze_dimension_one(tmp_path):
     assert report["verdict"]["scalability_index_upper_bound"] == 1
 
 
+@pytest.mark.parametrize("mode", ["float", "exact"])
+@pytest.mark.parametrize("command", ["analyze", "certify", "scale", "fmap",
+                                     "subsets --m 1", "witness --eps 0.1"])
+def test_every_command_on_dimension_one(tmp_path, command, mode):
+    # On the line F maps to R^0 and every frame is scalable; a witness
+    # needs M < N(N+1)/2 = 1 vectors, which no frame has.
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"n": 1, "vectors": [[2.0], [-1.0], [3.0]]}))
+    name, *flags = command.split()
+    code, out, err = run_cli([name, str(path), *flags, "--mode", mode])
+    if name == "witness":
+        assert code == cli.EXIT_HYPOTHESIS
+        assert err.startswith("error: ") and not out
+        return
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    if name == "fmap":
+        assert doc["d"] == 0 and doc["columns"] == [[], [], []]
+    elif name == "scale":
+        assert doc["n"] == 1 and len(doc["vectors"]) == 3
+    else:
+        assert doc.get("scalable", doc.get("verdict", {}).get("scalable"))
+
+
 def test_certify_quadrant_emits_separator(quadrant_file):
     code, out, _ = run_cli(["certify", quadrant_file])
     assert code == 0

@@ -38,7 +38,7 @@ def test_separator_on_mercedes_nonpositive(mercedes):
 # --- weight recovery --------------------------------------------------------
 
 def test_weight_recovery_onb(onb2):
-    w = fs.weight_recovery(fs.f_image(onb2), onb2)
+    w = fs.weight_recovery(onb2)
     np.testing.assert_allclose(w.u, [0.5, 0.5])
     assert w.alpha == pytest.approx(0.5)
     np.testing.assert_allclose(w.scalars(parseval=True), [1.0, 1.0])
@@ -52,17 +52,16 @@ def test_weight_recovery_forces_zero_weight(witness_base):
     rows = [[c[i] for c in g_cols] for i in range(5)]
     basis = exact.kernel_basis(rows)
     assert len(basis) == 1 and basis[0][3] == 0
-    w = fs.weight_recovery(fs.f_image(witness_base), witness_base)
+    w = fs.weight_recovery(witness_base)
     assert w.u[3] == 0.0
     np.testing.assert_allclose(w.u[:3], [1 / 3] * 3, atol=1e-12)
     with pytest.raises(fs.NotStrictlyScalable) as err:
-        fs.weight_recovery(fs.f_image(witness_base), witness_base,
-                           strict=True)
+        fs.weight_recovery(witness_base, strict=True)
     assert abs(err.value.s_star) <= 1e-10
 
 
 def test_weight_recovery_strict_mercedes(mercedes):
-    w = fs.weight_recovery(fs.f_image(mercedes), mercedes, strict=True)
+    w = fs.weight_recovery(mercedes, strict=True)
     np.testing.assert_allclose(w.u, [1 / 3] * 3, atol=1e-12)
     assert w.alpha == pytest.approx(0.5, abs=1e-12)
     assert np.min(w.u) == pytest.approx(1 / 3, abs=1e-12)
@@ -72,7 +71,7 @@ def test_strict_weights_on_scalable_10x60_frame():
     # Phase 1 of the strict weight LP used to stop on a drifted reduced
     # cost and report "unbounded" on this frame.
     f = random_scalable_frame(np.random.default_rng(13), 10, 60)
-    w = fs.weight_recovery(fs.f_image(f), f, strict=True)
+    w = fs.weight_recovery(f, strict=True)
     assert w.residual <= 1e-9 * w.alpha and np.min(w.u) > 1e-10
     v = fs.decide(f)
     assert v.scalable and v.strict
@@ -81,6 +80,18 @@ def test_strict_weights_on_scalable_10x60_frame():
     s = (f.matrix * u) @ f.matrix.T
     assert np.max(np.abs(s - v.certificate.alpha * np.eye(10))) \
         <= 1e-8 * v.certificate.alpha
+
+
+def test_weights_at_10x60_get_one_least_squares_step():
+    # The max-min-weight point of this frame leaves a residual of
+    # 1.7e-9 alpha, and 60 columns are above EXACT_CAP: one least-squares
+    # step on the support brings it back under the 1e-9 alpha check.
+    f = random_scalable_frame(np.random.default_rng(381), 10, 60)
+    v = fs.decide(f)
+    assert v.scalable and v.strict and v.resolved_by == "float"
+    w = v.certificate
+    assert w.residual <= 1e-12 * w.alpha
+    assert np.min(w.u) == pytest.approx(0.0046442, abs=1e-7)
 
 
 def test_decide_planted_10x60_frame():
@@ -96,7 +107,7 @@ def test_decide_planted_10x60_frame():
 
 def test_weight_recovery_infeasible_on_separated_frame(quadrant):
     with pytest.raises((fs.Infeasible, fs.NotStrictlyScalable)):
-        fs.weight_recovery(fs.f_image(quadrant), quadrant)
+        fs.weight_recovery(quadrant)
 
 
 # --- decide -----------------------------------------------------------------
@@ -259,10 +270,14 @@ def test_float_and_exact_s_star_agree(mercedes, seed):
 
 
 def test_band_applies_to_the_separator_margin(quadrant):
-    # The returned separator of quadrant has margin 1/4.
-    v = fs.decide(quadrant, band=0.3, on_boundary="flag")
+    # The returned separator of quadrant has margin 1/4.  Tiled to 15
+    # columns the frame is above EXACT_CAP, so a band case is only flagged.
+    tiled = fs.build_frame(2, np.tile(quadrant.matrix, 5).T)
+    assert tiled.m > feasibility.EXACT_CAP
+    v = fs.decide(tiled, band=1.0)
     assert v.boundary_flag and v.resolved_by == "float"
-    assert v.t_star == pytest.approx(0.25)
+    assert v.t_star == pytest.approx(0.25) and not v.scalable
+    assert not fs.decide(tiled).boundary_flag
     v = fs.decide(quadrant, band=0.3)
     assert v.boundary_flag and v.resolved_by == "exact"
     assert not v.scalable and v.certificate.margin_exact > 0
@@ -274,6 +289,29 @@ def test_decide_dimension_one():
     v = fs.decide(f)
     assert v.scalable and v.strict
     assert v.certificate.alpha == pytest.approx(2.5)
+
+
+@pytest.mark.parametrize("route", ["float", "exact", "oracle"])
+def test_dimension_one_zero_column_gets_no_weight(route):
+    # Zero columns carry weight zero in every dimension, the line included.
+    f = fs.build_frame(1, [(2,), (0,), (-1,)])
+    v = fs.exact_oracle(f) if route == "oracle" else fs.decide(f, mode=route)
+    assert v.scalable and v.strict
+    assert v.certificate.u[1] == 0.0 and v.certificate.support == (0, 2)
+    assert v.s_star == 0.5
+
+
+def test_packager_refuses_zero_and_nonpositive_separators():
+    g = np.array([[1.0, -1.0]])
+    with pytest.raises(fs.LPNumericalFailure):
+        feasibility._package_separator(g, np.zeros(1), (0, 1))
+    g = np.array([[Fraction(1), Fraction(-1)]], dtype=object)
+    with pytest.raises(ArithmeticError):
+        feasibility._package_separator(g, np.array([Fraction(2)],
+                                                   dtype=object), (0, 1))
+    sep = feasibility._package_separator(
+        g[:, :1], np.array([Fraction(2)], dtype=object), (0,))
+    assert sep.h_exact == (1,) and sep.margin_exact == 1
 
 
 def test_decide_rejects_bad_subset(onb2):
@@ -465,8 +503,9 @@ def test_three_routes_agree(seed):
     if fs.numerical_rank(num / 8.0) < n:
         return
     f = fs.build_frame(n, (num / 8.0).T)
-    vf = fs.decide(f, on_boundary="flag")
+    vf = fs.decide(f)
     if vf.boundary_flag:
+        assert vf.resolved_by == "exact"
         return
     assert vf.scalable == fs.exact_oracle(f).scalable \
         == fs.identity_in_outer_hull(f)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,9 +22,12 @@ def test_f_vector_three_dims():
                                [-3.0, -8.0, 2.0, 3.0, 6.0])
 
 
-def test_f_vector_rejects_dimension_one():
-    with pytest.raises(fs.DimensionTooSmall):
-        fs.f_vector(np.array([1.0]))
+def test_f_vector_dimension_one_is_empty():
+    assert fs.target_dim(1) == 0
+    assert fs.f_vector(np.array([1.0])).shape == (0,)
+    assert fs.f_image(fs.build_frame(1, [(2.0,), (-1.0,)])).matrix.shape \
+        == (0, 2)
+    assert exact.f_vector_exact([Fraction(3)]) == []
 
 
 def test_target_dim_values():
@@ -112,7 +117,6 @@ def test_q_matrix_trace_is_exact_zero(seed):
 
 
 def test_q_matrix_exact_arithmetic():
-    from fractions import Fraction
     a = np.array([Fraction(1, 3), Fraction(-2, 7)], dtype=object)
     q = fs.q_matrix(a)
     assert q.matrix[0, 0] == Fraction(1, 3)

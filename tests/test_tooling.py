@@ -1,6 +1,9 @@
-"""The benchmark's tracer still finds every function it wraps, so an API
-cut that removes a traced name fails here rather than at ``--trace 1``."""
+"""Guards for code cuts.  The benchmark's tracer still finds every function
+it wraps, so an API cut that removes a traced name fails here rather than
+at ``--trace 1``; and the package keeps no unused module-level import and
+no private top-level definition that nothing references."""
 
+import ast
 import importlib.util
 import pathlib
 
@@ -9,6 +12,7 @@ import framescale.cli  # noqa: F401  (the tracer wraps cli functions too)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "framescale"
 
 
 def load_tracing():
@@ -31,3 +35,54 @@ def test_tracer_installs_and_uninstalls(mercedes):
     assert fs.feasibility.decide is decide and fs.decide is decide
     assert len(tracer.names) == sum(map(len, tracing.TRACED.values()))
     assert "feasibility.decide" in tracer.names and tracer.start
+
+
+def parsed_modules():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def loaded_names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_no_unused_module_level_import():
+    unused = []
+    for name, tree in parsed_modules().items():
+        if name == "__init__.py":  # its imports are the public API
+            continue
+        used = loaded_names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_every_private_top_level_definition_is_referenced():
+    modules = parsed_modules()
+    referenced = set()
+    for tree in modules.values():
+        referenced |= loaded_names(tree)
+        referenced |= {alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names}
+    unreferenced = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{name}: {d}" for d in defined
+                             if d.startswith("_") and not d.startswith("__")
+                             and d not in referenced]
+    assert not unreferenced

@@ -18,7 +18,8 @@ class NotOrthogonal(FrameScaleError):
 
 
 class DimensionTooSmall(FrameScaleError):
-    """The sign test needs ambient dimension at least 2."""
+    """The sign test needs ambient dimension at least 2, and the cone test
+    a transform dimension d at least 1."""
 
 
 class ZeroColumn(FrameScaleError):

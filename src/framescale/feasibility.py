@@ -3,20 +3,24 @@
 A frame is scalable exactly when 0 lies in the convex hull of the
 transformed columns F(phi_k), and strictly scalable when it lies in the
 relative interior; otherwise a direction h separates them all,
-<F(phi_k), h> > 0.  ``decide`` answers both questions with one LP, the
+<F(phi_k), h> > 0.  ``decide`` answers both questions with the
 max-min-weight program
 
     maximize s  subject to  F u = 0,  sum u = 1,  u = v + s 1,  v, s >= 0.
 
-Its phase 1 is phase 1 on the weight polytope {F u = 0, sum u = 1, u >= 0}.
-When that polytope is empty, the Farkas duals y = (h, s) satisfy
--h'F(phi_k) >= s > 0 for every k, so -h is the separator.  Otherwise phase
-2 continues from the phase-1 vertex to the optimum s*; its point is the
-weights certificate, strict when s* clears a threshold and a basic point
-with support at most d + 1 when s* = 0.  Both certificates are re-checked
-before they are returned.
+In float mode Wolfe's minimum-norm-point algorithm (Math. Prog. 11, 1976)
+runs first on the columns.  A point x of their hull with
+min_k <x, F(phi_k)> > 0 is the separator, and no LP runs.  When x reaches
+the origin, Wolfe's corral of d + 1 columns is a feasible basis of the
+program, and phase 2 runs from there to the optimum s*.  Otherwise the
+program runs as a two-phase simplex: its phase 1 is phase 1 on the weight
+polytope {F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the
+Farkas duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is
+the separator.  The phase-2 point is the weights certificate, strict when
+s* clears a threshold and a basic point with support at most d + 1 when
+s* = 0.  Both certificates are re-checked before they are returned.
 
-Mode ``"exact"`` runs the same program with rational pivots.  Float
+Mode ``"exact"`` runs the two-phase program with rational pivots.  Float
 separators whose re-verified margin falls inside a small band are flagged
 and re-decided that way when at most ``EXACT_CAP`` columns are active.
 ``separator_search`` keeps the max-margin program
@@ -34,6 +38,7 @@ import logging
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,10 +53,21 @@ DEFAULT_BOUNDARY_BAND = 1e-9
 DEFAULT_STRICT_THRESHOLD = 1e-10
 EXACT_CAP = 12  # most active columns an exact escalation is tried on
 
+# Wolfe's tolerances (his Z1-Z3), relative to the largest squared column
+# norm except for the weights, which sum to 1.
+WOLFE_OPT_TOL = 1e-12    # x is the minimum-norm point: <x, g_j> >= |x|^2 - tol
+WOLFE_POS_TOL = 1e-10    # an affine weight at most this leaves the corral
+WOLFE_ZERO_TOL = 1e-20   # x is the origin: |x|^2 <= tol
+WOLFE_MAX_MAJOR = 5      # major cycles per column before Wolfe gives up
+WOLFE_MAX_COND = 1e12    # a corral basis above this condition is singular
+
 logger = logging.getLogger(__name__)
 
 SignWitness = namedtuple("SignWitness", "i j sign")
 ConeFlags = namedtuple("ConeFlags", "pointed polar_interior_empty")
+Wolfe = namedtuple("Wolfe", "x corral stop major minor")
+# u and s* on a nonempty weight polytope, else the separator h
+WeightProgram = namedtuple("WeightProgram", "u s_star h route")
 
 
 @dataclass(frozen=True)
@@ -77,9 +93,14 @@ class Verdict:
     """Outcome of ``decide``.
 
     ``t_star`` is the re-verified margin of the separator on non-scalable
-    verdicts and 0.0 on scalable ones.  ``s_star`` is the optimum of the
-    max-min-weight program on scalable verdicts; ``None`` there means that
-    phase 2 did not reach its optimum, so strictness was not determined
+    verdicts and 0.0 on scalable ones.  A float separator is Wolfe's
+    point, taken once its margin at |h|_inf = 1 clears
+    ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm point (the Farkas
+    one when the two-phase fallback runs), so t* is a certified margin
+    but not the best one (``separator_search`` gives that).  ``s_star``
+    is the optimum of the max-min-weight program on scalable verdicts,
+    whichever basis phase 2 started from; ``None`` there means that phase
+    2 did not reach its optimum, so strictness was not determined
     (``strict`` is False then and the weights are its last, verified
     point).
     """
@@ -101,9 +122,16 @@ class Verdict:
         return None
 
 
+@lru_cache(maxsize=64)
+def _all_columns(m: int) -> tuple:
+    # One tuple per size, shared by the verdicts of every decide on all
+    # columns: callers that keep verdicts keep thousands of them.
+    return tuple(range(m))
+
+
 def _normalize_subset(frame: Frame, subset) -> tuple:
     if subset is None:
-        return tuple(range(frame.m))
+        return _all_columns(frame.m)
     idx = tuple(sorted(int(k) for k in subset))
     if not idx:
         raise ValueError("subset must be nonempty")
@@ -113,7 +141,8 @@ def _normalize_subset(frame: Frame, subset) -> tuple:
 
 
 def _active_columns(frame: Frame, subset) -> tuple:
-    return tuple(k for k in subset if np.any(frame.column(k) != 0.0))
+    active = tuple(k for k in subset if np.any(frame.column(k) != 0.0))
+    return subset if active == subset else active  # a separator shares it
 
 
 # --- LP programs ------------------------------------------------------------
@@ -184,32 +213,137 @@ def weight_polytope(g: np.ndarray):
     return a, b
 
 
-def _max_min_weight(g: np.ndarray):
+def _wolfe(g: np.ndarray) -> Wolfe:
+    """Wolfe's minimum-norm-point algorithm on the float columns g.
+
+    The point x walks through conv(g) towards the origin.  Each major cycle
+    adds the column with the least product <x, g_j> to the corral, a set of
+    affinely independent columns that carries x with positive weights.
+    Each minor cycle moves x towards the point of the corral's affine hull
+    nearest the origin and drops the columns whose weight reaches zero on
+    the way.  ``stop`` says why it ended:
+
+    - "separator": min_k <x, g_k> > 0, and either that margin at
+      |x|_inf = 1 clears ``DEFAULT_BOUNDARY_BAND`` or x is the
+      minimum-norm point;
+    - "zero": x is the origin up to rounding, so the corral carries a
+      point of the weight polytope;
+    - "stalled": the entering column is already in the corral;
+    - "cycle cap": ``WOLFE_MAX_MAJOR`` major cycles per column ran out;
+    - "no separation": the minimum-norm point neither is the origin nor
+      separates.
+    """
+    k = g.shape[1]
+    norms = np.einsum("ij,ij->j", g, g)
+    scale = np.max(norms)
+    corral, lam = [int(np.argmin(norms))], np.ones(1)
+    x = g[:, corral[0]]
+    major = minor = 0
+    while True:
+        xx = x @ x
+        if xx <= WOLFE_ZERO_TOL * scale:
+            return Wolfe(x, corral, "zero", major, minor)
+        p = x @ g
+        j = int(np.argmin(p))
+        stop = None
+        if p[j] > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x)):
+            stop = "separator"
+        elif p[j] >= xx - WOLFE_OPT_TOL * scale:
+            stop = "separator" if p[j] > 0 else "no separation"
+        elif j in corral:
+            stop = "stalled"
+        elif major == WOLFE_MAX_MAJOR * k:
+            stop = "cycle cap"
+        if stop is not None:
+            return Wolfe(x, corral, stop, major, minor)
+        major += 1
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            # The affine minimizer: [G 1; 1' 0] (mu, nu) = (0, 1) on the
+            # corral's Gram matrix G, its border scaled to G's entries.
+            gs = g[:, corral]
+            size = len(corral)
+            border = np.zeros((size + 1, size + 1))
+            border[:size, :size] = gs.T @ gs
+            border[:size, size] = border[size, :size] = scale
+            rhs = np.zeros(size + 1)
+            rhs[size] = scale
+            mu = np.linalg.lstsq(border, rhs, rcond=None)[0][:size]
+            if np.all(mu > WOLFE_POS_TOL):
+                lam = mu
+                break
+            minor += 1
+            # Step from lam towards mu until the first weight reaches zero.
+            fall = (mu <= WOLFE_POS_TOL) & (lam > mu)
+            ratios = np.full(size, np.inf)
+            ratios[fall] = lam[fall] / (lam[fall] - mu[fall])
+            i = int(np.argmin(ratios))
+            lam = lam + min(ratios[i], 1.0) * (mu - lam)
+            if ratios[i] <= 1.0:
+                lam[i] = 0.0
+            keep = np.flatnonzero(lam > WOLFE_POS_TOL)
+            corral = [corral[q] for q in keep]
+            lam = lam[keep] / np.sum(lam[keep])
+        x = g[:, corral] @ lam
+
+
+def _wolfe_basis(g: np.ndarray, w: Wolfe):
+    """Wolfe's corral at the origin as a feasible basis of the max-min-weight
+    program, or ``None`` and the reason it is not one."""
+    d = g.shape[0]
+    if w.stop != "zero":
+        return None, f"Wolfe {w.stop}"
+    if len(w.corral) < d + 1:
+        return None, f"corral of {len(w.corral)} < d + 1 = {d + 1} columns"
+    b, e = weight_polytope(g[:, w.corral])
+    if np.linalg.cond(b) > WOLFE_MAX_COND:
+        return None, "singular corral basis"
+    if np.min(np.linalg.solve(b, e)) < -simplex.DEFAULT_FEAS_TOL:
+        return None, "infeasible corral basis"
+    return list(w.corral), None
+
+
+def _max_min_weight(g: np.ndarray) -> WeightProgram:
     """The max-min-weight program on columns g: u = v + s 1 with v, s >= 0,
 
         maximize s  subject to  g u = 0,  sum u = 1.
 
-    Returns ``(None, None, h)`` with the separator h read off the Farkas
-    duals when the weight polytope is empty, else ``(u, s*, None)`` with u
-    the last basic point, and s* ``None`` when phase 2 stopped short of its
-    optimum.  The s column is the sum of the v columns, so in exact
-    arithmetic Bland's rule lets it enter only once the v columns are done:
-    phase 1 pivots as it would on the weight polytope alone.
+    Over float columns Wolfe's algorithm runs first.  A separating point
+    is returned as h, with no LP; a corral at the origin that is a
+    feasible basis starts phase 2.  Otherwise, and always over
+    ``Fraction`` columns, the two-phase simplex runs, and an empty weight
+    polytope gives the separator h from the Farkas duals.  A scalable
+    result carries u, the last basic point, and s*, ``None`` when phase 2
+    stopped short of its optimum.  ``route`` names the way taken.  The s
+    column is the sum of the v columns, so in exact arithmetic Bland's
+    rule lets it enter only once the v columns are done: phase 1 pivots
+    as it would on the weight polytope alone.
     """
     d, k = g.shape
+    basis, route = None, "two-phase, exact"
+    if g.dtype != object:
+        w = _wolfe(g)
+        cycles = f"{w.major} major and {w.minor} minor Wolfe cycles"
+        if w.stop == "separator":
+            return WeightProgram(None, None, w.x,
+                                 f"Wolfe separator after {cycles}")
+        basis, why = _wolfe_basis(g, w)
+        route = (f"Wolfe basis and phase 2 after {cycles}" if why is None
+                 else f"two-phase fallback ({why}) after {cycles}")
     a, b = weight_polytope(g)
     a = np.column_stack([a, np.append(g.sum(axis=1), k)])
     c = np.zeros(k + 1, dtype=g.dtype)
     c[k] = -1
-    res = _solve(g, a, b, c)
+    res = _solve(g, a, b, c, basis)
     if res.status == simplex.INFEASIBLE:
-        return None, None, -res.ray[:d]
+        return WeightProgram(None, None, -res.ray[:d], route)
     s_star = res.x[k]
     if res.status != simplex.OPTIMAL:
         logger.warning("strictness not determined: phase 2 ended with %s",
                        res.status)
         s_star = None
-    return res.x[:k] + res.x[k], s_star, None
+    return WeightProgram(res.x[:k] + res.x[k], s_star, None, route)
 
 
 def weight_recovery(frame: Frame, strict: bool = False) -> ScalingWeights:
@@ -273,23 +407,25 @@ def _verdict_no_columns(subset) -> Verdict:
                    subset=subset, spans=False, resolved_by="float")
 
 
-def _decide_columns(g: np.ndarray, subset, active, weights, spans) -> Verdict:
-    """The decision on the columns g of the active subset, over their
-    number type, from the one max-min-weight program.  ``weights(u)``
+def _decide_columns(prog: WeightProgram, g: np.ndarray, subset, active,
+                    weights, spans) -> Verdict:
+    """The verdict on the columns g of the active subset from the result
+    ``prog`` of the max-min-weight program on them.  ``weights(u)``
     packages and re-verifies the weights, ``spans()`` tells whether the
     subset spans, and s* counts as strict above 0 for ``Fraction`` columns
     and above ``DEFAULT_STRICT_THRESHOLD`` for floats."""
     threshold, resolved_by = ((0, "exact") if g.dtype == object
                               else (DEFAULT_STRICT_THRESHOLD, "float"))
-    u, s_star, h = _max_min_weight(g)
-    if u is None:
-        sep = _package_separator(g, h, active)
+    if prog.u is None:
+        sep = _package_separator(g, prog.h, active)
         return Verdict(scalable=False, strict=False, certificate=sep,
                        boundary_flag=False, t_star=sep.margin, s_star=None,
                        subset=subset, spans=spans(), resolved_by=resolved_by)
+    s_star = prog.s_star
     return Verdict(scalable=True,
                    strict=s_star is not None and bool(s_star > threshold),
-                   certificate=weights(u), boundary_flag=False, t_star=0.0,
+                   certificate=weights(prog.u), boundary_flag=False,
+                   t_star=0.0,
                    s_star=None if s_star is None else float(s_star),
                    subset=subset, spans=True, resolved_by=resolved_by)
 
@@ -302,44 +438,60 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
 
     Zero columns are carried with weight zero: they never affect the
     verdict and can never be separated.  Non-spanning subsets come back
-    non-scalable with ``spans`` False.  A float separator whose re-verified
-    margin is at most ``band``, and a float certificate that fails its
-    re-check, are re-decided through the exact LP of mode ``"exact"`` when
-    the subset has at most ``EXACT_CAP`` active columns; the verdict then
+    non-scalable with ``spans`` False.  In float mode Wolfe's
+    minimum-norm-point algorithm runs first and either returns the
+    separator or starts phase 2 of the max-min-weight program; the
+    two-phase LP of mode ``"exact"`` is the fallback.  A float separator
+    whose re-verified margin is at most ``band``, and a float certificate
+    that fails its re-check, are re-decided through the exact LP when the
+    subset has at most ``EXACT_CAP`` active columns; the verdict then
     carries ``boundary_flag``.  Above the cap a band separator is only
-    flagged, and a failed re-check raises.
+    flagged, and a failed re-check raises.  Each returned verdict logs one
+    DEBUG record naming the route taken and Wolfe's cycle counts.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     subset = _normalize_subset(frame, subset)
     if mode == "exact":
-        return _decide_exact_lp(frame, subset, rational=rational)
+        v, route = _decide_exact_lp(frame, subset, rational=rational)
+    else:
+        v, route = _decide_float(frame, subset, band, tol_tight, rational)
+    logger.debug("decide (%s) on %d columns: %s", mode, len(subset), route)
+    return v
+
+
+def _decide_float(frame: Frame, subset, band, tol_tight, rational):
+    """Float mode of ``decide``: the verdict and the route it took."""
     active = _active_columns(frame, subset)
     if not active:
-        return _verdict_no_columns(subset)
+        return _verdict_no_columns(subset), "no active columns"
     g = f_image(frame).columns(active)
+    prog = _max_min_weight(g)
     can_escalate = len(active) <= EXACT_CAP
 
-    def escalate() -> Verdict:
-        v = _decide_exact_lp(frame, subset, rational=rational)
-        return replace(v, boundary_flag=True)
+    def escalate(why: str):
+        v, route = _decide_exact_lp(frame, subset, rational=rational)
+        return (replace(v, boundary_flag=True),
+                f"{prog.route}; {why}, so exact: {route}")
 
     try:
         v = _decide_columns(
-            g, subset, active,
+            prog, g, subset, active,
             lambda u: _verified_weights(frame, g, active, u, tol_tight),
             lambda: numerical_rank(frame.matrix[:, list(subset)]) == frame.n)
     except Infeasible:  # the weights failed their re-check
         if can_escalate:
-            return escalate()
+            return escalate("weights failed their re-check")
         raise
     if v.scalable or v.t_star > band:
-        return v
+        return v, prog.route
     if can_escalate:
-        return escalate()
+        return escalate(f"separator margin {v.t_star:.3g} within the band")
     if v.t_star <= 0.0:
         raise LPNumericalFailure("separator failed re-verification")
-    return replace(v, boundary_flag=True)
+    return (replace(v, boundary_flag=True),
+            f"{prog.route}; separator margin {v.t_star:.3g} within the band, "
+            "flagged")
 
 
 # --- sign-based quick rejection ---------------------------------------------
@@ -380,12 +532,16 @@ def cone_pointed(fi: FImage) -> ConeFlags:
     combination exists (every transformed column of a nonzero vector is
     nonzero, so a kernel vector folds the cone onto a line), which is the
     weight polytope of ``decide`` being nonempty; the polar cone has empty
-    interior in exactly the same case.  Zero columns are refused.
+    interior in exactly the same case.  Zero columns are refused, and so
+    is d = 0, where every column is the zero vector of R^0.
     """
+    if fi.d == 0:
+        raise DimensionTooSmall("cone test needs d >= 1; the transform of "
+                                "a frame on the line has d = 0")
     g = fi.matrix
     if np.any(np.all(g == 0.0, axis=0)):
         raise ZeroColumn("cone test is undefined for zero frame vectors")
-    pointed = _max_min_weight(g)[0] is None
+    pointed = _max_min_weight(g).u is None
     return ConeFlags(pointed=pointed, polar_interior_empty=not pointed)
 
 
@@ -493,16 +649,18 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
                    resolved_by="exact")
 
 
-def _decide_exact_lp(frame: Frame, subset, rational=None) -> Verdict:
-    """Mode "exact" of ``decide``: the float sequence with rational pivots,
-    so every verdict is exact."""
+def _decide_exact_lp(frame: Frame, subset, rational=None):
+    """Mode "exact" of ``decide``: the two-phase LP with rational pivots,
+    so every verdict is exact; returns the verdict and the route."""
     cols = exact.frame_to_fractions(frame, rational)
     active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
     if not active:
-        return replace(_verdict_no_columns(subset), resolved_by="exact")
+        return (replace(_verdict_no_columns(subset), resolved_by="exact"),
+                "no active columns")
     g = np.array([exact.f_vector_exact(cols[k]) for k in active],
                  dtype=object).T
+    prog = _max_min_weight(g)
     return _decide_columns(
-        g, subset, active,
+        prog, g, subset, active,
         lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),
-        lambda: _exact_spans(cols, subset, frame.n))
+        lambda: _exact_spans(cols, subset, frame.n)), prog.route

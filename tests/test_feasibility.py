@@ -1,3 +1,6 @@
+import logging
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -198,19 +201,21 @@ def test_decide_never_runs_the_separator_program(
 def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
                                                   caplog, mode, error):
     if error is fs.LPNumericalFailure:
-        # Phase 2 (the second simplex run) stops at once at the phase-1
-        # vertex: the weights there are verified, strictness stays unknown.
+        # Phase 2 stops at once at its starting vertex: the weights there
+        # are verified, strictness stays unknown.  Exact mode runs phase 1
+        # first; float mode starts phase 2 at Wolfe's corral.
         run, calls = simplex._run_simplex, []
+        phase_2 = 1 if mode == "float" else 2
 
         def stop_phase_2(*args):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) == phase_2:
                 return simplex.ITERATION_LIMIT
             return run(*args)
 
         monkeypatch.setattr(simplex, "_run_simplex", stop_phase_2)
         v = fs.decide(mercedes, mode=mode)
-        assert len(calls) == 2
+        assert len(calls) == phase_2
         assert v.scalable and not v.strict and v.s_star is None
         w = v.certificate
         assert w.residual <= 1e-9 * w.alpha
@@ -257,7 +262,12 @@ def test_decide_solves_one_lp(mercedes, quadrant, monkeypatch, mode):
         calls.clear()
         v = fs.decide(frame, mode=mode)
         assert v.resolved_by == mode
-        assert calls == ["solve_lp" if mode == "float" else "solve_lp_exact"]
+        if mode == "exact":
+            assert calls == ["solve_lp_exact"]
+        elif frame is quadrant:  # Wolfe's point separates: no LP at all
+            assert calls == []
+        else:
+            assert calls in ([], ["solve_lp"])
 
 
 @pytest.mark.parametrize("seed", [None, *range(6)])
@@ -270,18 +280,98 @@ def test_float_and_exact_s_star_agree(mercedes, seed):
 
 
 def test_band_applies_to_the_separator_margin(quadrant):
-    # The returned separator of quadrant has margin 1/4.  Tiled to 15
-    # columns the frame is above EXACT_CAP, so a band case is only flagged.
+    # The returned separator of quadrant is Wolfe's point, margin 0.4.
+    # Tiled to 15 columns the frame is above EXACT_CAP, so a band case is
+    # only flagged.
     tiled = fs.build_frame(2, np.tile(quadrant.matrix, 5).T)
     assert tiled.m > feasibility.EXACT_CAP
     v = fs.decide(tiled, band=1.0)
     assert v.boundary_flag and v.resolved_by == "float"
-    assert v.t_star == pytest.approx(0.25) and not v.scalable
+    assert v.t_star == pytest.approx(0.4) and not v.scalable
     assert not fs.decide(tiled).boundary_flag
-    v = fs.decide(quadrant, band=0.3)
+    v = fs.decide(quadrant, band=0.5)
     assert v.boundary_flag and v.resolved_by == "exact"
     assert not v.scalable and v.certificate.margin_exact > 0
-    assert not fs.decide(quadrant, band=0.2).boundary_flag
+    assert not fs.decide(quadrant, band=0.3).boundary_flag
+
+
+def _stalled_wolfe(g):
+    return feasibility.Wolfe(None, [], "stalled", 0, 0)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_decide_separates_random_15x200_frame(monkeypatch):
+    # Phase 1 of the two-phase LP ran out of iterations here and raised
+    # LPNumericalFailure after 3.7 s; Wolfe's point separates in ~0.3 s.
+    monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
+    f = fs.random_frame(15, 200, seed=1)
+    start = time.perf_counter()
+    v = fs.decide(f)
+    assert time.perf_counter() - start < 3.0
+    assert not v.scalable and v.resolved_by == "float"
+    assert v.certificate.verify(fs.f_image(f)) > 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_non_scalable_float_decide_runs_no_lp(seed, monkeypatch):
+    monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
+    f = fs.random_frame(10, 60, seed=seed)
+    v = fs.decide(f)
+    assert not v.scalable and v.t_star > feasibility.DEFAULT_BOUNDARY_BAND
+    assert v.t_star == v.certificate.verify(fs.f_image(f))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_wolfe_started_phase_2_keeps_the_two_phase_optimum(
+        seed, monkeypatch, caplog):
+    f = random_scalable_frame(np.random.default_rng(seed), 10, 60)
+    with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+        v = fs.decide(f)
+    assert "Wolfe basis and phase 2" in caplog.text
+    monkeypatch.setattr(feasibility, "_wolfe", _stalled_wolfe)
+    two_phase = fs.decide(f)
+    assert v.strict and two_phase.strict
+    assert abs(v.s_star - two_phase.s_star) <= 1e-9 * two_phase.s_star
+
+
+def test_stalled_wolfe_falls_back_to_the_two_phase_lp(
+        onb2, quadrant, mercedes, onb_plus, monkeypatch, caplog):
+    monkeypatch.setattr(feasibility, "_wolfe", _stalled_wolfe)
+    frames = (onb2, quadrant, mercedes, onb_plus)
+    with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+        verdicts = [fs.decide(f) for f in frames]
+    assert [v.scalable for v in verdicts] == [True, False, True, True]
+    assert [v.strict for v in verdicts] == [True, False, True, False]
+    assert verdicts[1].t_star == pytest.approx(0.25)  # the Farkas separator
+    assert verdicts[2].s_star == pytest.approx(1 / 3)
+    assert all("two-phase fallback (Wolfe stalled)" in r.getMessage()
+               for r in caplog.records)
+    assert len(caplog.records) == len(frames)
+
+
+def test_decide_logs_one_record_naming_its_route(
+        quadrant, mercedes, onb_plus, caplog):
+    cases = [(quadrant, 1e-9, "Wolfe separator"),
+             (mercedes, 1e-9, "Wolfe basis and phase 2"),
+             (onb_plus, 1e-9, "two-phase fallback (corral of 2 < d + 1 = 3"),
+             (quadrant, 0.5, "within the band, so exact: two-phase, exact")]
+    for frame, band, route in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+            fs.decide(frame, band=band)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert route in record.getMessage()
+        assert re.search(r"\d+ major and \d+ minor Wolfe cycles",
+                         record.getMessage())
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+        fs.decide(mercedes, mode="exact")
+    [record] = caplog.records
+    assert "two-phase, exact" in record.getMessage()
 
 
 def test_decide_dimension_one():
@@ -365,6 +455,15 @@ def test_cone_not_pointed_for_mercedes(mercedes):
 def test_cone_rejects_zero_columns():
     f = fs.build_frame(2, [(1, 0), (0, 1), (0, 0)])
     with pytest.raises(fs.ZeroColumn):
+        fs.cone_pointed(fs.f_image(f))
+
+
+def test_cone_test_refuses_dimension_zero(monkeypatch):
+    # The transform of a frame on the line has d = 0: every column is the
+    # zero vector of R^0, which is not a zero frame vector.
+    monkeypatch.setattr(feasibility, "_max_min_weight", _must_not_run)
+    f = fs.build_frame(1, [(2,), (0,), (-1,)])
+    with pytest.raises(fs.DimensionTooSmall, match="d = 0"):
         fs.cone_pointed(fs.f_image(f))
 
 

@@ -38,7 +38,6 @@ import logging
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -46,8 +45,8 @@ from . import exact, simplex
 from .errors import (DimensionTooSmall, Infeasible, LPNumericalFailure,
                      NotStrictlyScalable, TooLarge, ZeroColumn)
 from .fmap import FImage, f_image, outer_svec_rows, svec
-from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _frozen,
-                     make_weights, numerical_rank)
+from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
+                     _frozen, make_weights, numerical_rank)
 
 DEFAULT_BOUNDARY_BAND = 1e-9
 DEFAULT_STRICT_THRESHOLD = 1e-10
@@ -60,17 +59,19 @@ WOLFE_POS_TOL = 1e-10    # an affine weight at most this leaves the corral
 WOLFE_ZERO_TOL = 1e-20   # x is the origin: |x|^2 <= tol
 WOLFE_MAX_MAJOR = 5      # major cycles per column before Wolfe gives up
 WOLFE_MAX_COND = 1e12    # a corral basis above this condition is singular
+WOLFE_UPDATE_TOL = 1e-10  # kept K^-1 lost accuracy: pivot or residual past it
 
 logger = logging.getLogger(__name__)
 
 SignWitness = namedtuple("SignWitness", "i j sign")
 ConeFlags = namedtuple("ConeFlags", "pointed polar_interior_empty")
-Wolfe = namedtuple("Wolfe", "x corral stop major minor")
+Wolfe = namedtuple("Wolfe", "x corral stop major minor refreshes",
+                   defaults=(0,))
 # u and s* on a nonempty weight polytope, else the separator h
 WeightProgram = namedtuple("WeightProgram", "u s_star h route")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Separator:
     """A direction with strictly positive margin against every tested
     transformed column; certifies that the tested subset is not scalable."""
@@ -88,7 +89,7 @@ class Separator:
         return float(np.min(self.h @ g) / scale)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of ``decide``.
 
@@ -122,13 +123,6 @@ class Verdict:
         return None
 
 
-@lru_cache(maxsize=64)
-def _all_columns(m: int) -> tuple:
-    # One tuple per size, shared by the verdicts of every decide on all
-    # columns: callers that keep verdicts keep thousands of them.
-    return tuple(range(m))
-
-
 def _normalize_subset(frame: Frame, subset) -> tuple:
     if subset is None:
         return _all_columns(frame.m)
@@ -141,6 +135,8 @@ def _normalize_subset(frame: Frame, subset) -> tuple:
 
 
 def _active_columns(frame: Frame, subset) -> tuple:
+    if not frame.degenerate:  # no zero column anywhere
+        return subset
     active = tuple(k for k in subset if np.any(frame.column(k) != 0.0))
     return subset if active == subset else active  # a separator shares it
 
@@ -221,13 +217,23 @@ def _wolfe(g: np.ndarray) -> Wolfe:
     affinely independent columns that carries x with positive weights.
     Each minor cycle moves x towards the point of the corral's affine hull
     nearest the origin and drops the columns whose weight reaches zero on
-    the way.  ``stop`` says why it ended:
+    the way.  That point has the weights mu = K^-1 1 / 1'K^-1 1 on the
+    corral S, where K = G_S / c + 1 1' is its Gram matrix scaled by the
+    largest squared column norm c and shifted by the all-ones matrix: K is
+    positive definite exactly when S is affinely independent.  K^-1 is
+    kept across cycles, bordered when a column enters and downdated when
+    one leaves, each in O(|S|^2), and K^-1 1 gets one step of iterative
+    refinement against K.  When the bordered pivot (a Schur complement)
+    or the residual that refinement corrects shows that the kept inverse
+    has lost accuracy, K^-1 is recomputed from the corral; ``refreshes``
+    counts those times.
+    ``stop`` says why it ended:
 
     - "separator": min_k <x, g_k> > 0, and either that margin at
       |x|_inf = 1 clears ``DEFAULT_BOUNDARY_BAND`` or x is the
       minimum-norm point;
     - "zero": x is the origin up to rounding, so the corral carries a
-      point of the weight polytope;
+      point of the weight polytope (at once when d = 0);
     - "stalled": the entering column is already in the corral;
     - "cycle cap": ``WOLFE_MAX_MAJOR`` major cycles per column ran out;
     - "no separation": the minimum-norm point neither is the origin nor
@@ -236,13 +242,18 @@ def _wolfe(g: np.ndarray) -> Wolfe:
     k = g.shape[1]
     norms = np.einsum("ij,ij->j", g, g)
     scale = np.max(norms)
-    corral, lam = [int(np.argmin(norms))], np.ones(1)
+    corral = [int(np.argmin(norms))]
     x = g[:, corral[0]]
-    major = minor = 0
+    if scale == 0.0:  # d = 0: every column is the origin of R^0
+        return Wolfe(x, corral, "zero", 0, 0)
+    rows = np.ascontiguousarray(g.T) / np.sqrt(scale)  # K = rs rs' + 1 1'
+    kinv = np.array([[1.0 / (norms[corral[0]] / scale + 1.0)]])
+    lam = np.ones(1)
+    major = minor = refreshes = 0
     while True:
         xx = x @ x
         if xx <= WOLFE_ZERO_TOL * scale:
-            return Wolfe(x, corral, "zero", major, minor)
+            return Wolfe(x, corral, "zero", major, minor, refreshes)
         p = x @ g
         j = int(np.argmin(p))
         stop = None
@@ -255,36 +266,60 @@ def _wolfe(g: np.ndarray) -> Wolfe:
         elif major == WOLFE_MAX_MAJOR * k:
             stop = "cycle cap"
         if stop is not None:
-            return Wolfe(x, corral, stop, major, minor)
+            return Wolfe(x, corral, stop, major, minor, refreshes)
         major += 1
         corral.append(j)
         lam = np.append(lam, 0.0)
+        rs = rows[corral]
+        # Border K^-1 with the entering column: its pivot is the Schur
+        # complement of K in the bordered matrix.
+        col = rs @ rs[-1] + 1.0
+        w = kinv @ col[:-1]
+        pivot = col[-1] - col[:-1] @ w
+        fresh = pivot <= WOLFE_UPDATE_TOL
+        if fresh:
+            refreshes += 1
+        else:
+            bordered = np.empty((len(corral), len(corral)))
+            bordered[:-1, :-1] = kinv + np.outer(w, w / pivot)
+            bordered[:-1, -1] = bordered[-1, :-1] = -w / pivot
+            bordered[-1, -1] = 1.0 / pivot
+            kinv = bordered
         while True:
-            # The affine minimizer: [G 1; 1' 0] (mu, nu) = (0, 1) on the
-            # corral's Gram matrix G, its border scaled to G's entries.
-            gs = g[:, corral]
-            size = len(corral)
-            border = np.zeros((size + 1, size + 1))
-            border[:size, :size] = gs.T @ gs
-            border[:size, size] = border[size, :size] = scale
-            rhs = np.zeros(size + 1)
-            rhs[size] = scale
-            mu = np.linalg.lstsq(border, rhs, rcond=None)[0][:size]
+            if fresh:
+                kinv = np.linalg.pinv(rs @ rs.T + 1.0, hermitian=True)
+            y = kinv.sum(axis=1)
+            r = 1.0 - rs @ (rs.T @ y) - y.sum()
+            if not fresh and np.max(np.abs(r)) > \
+                    WOLFE_UPDATE_TOL * np.sum(np.abs(y)):
+                fresh = True
+                refreshes += 1
+                continue
+            fresh = False
+            y += kinv @ r  # one step of iterative refinement
+            mu = y / y.sum()
             if np.all(mu > WOLFE_POS_TOL):
                 lam = mu
                 break
             minor += 1
             # Step from lam towards mu until the first weight reaches zero.
             fall = (mu <= WOLFE_POS_TOL) & (lam > mu)
-            ratios = np.full(size, np.inf)
+            ratios = np.full(len(corral), np.inf)
             ratios[fall] = lam[fall] / (lam[fall] - mu[fall])
             i = int(np.argmin(ratios))
             lam = lam + min(ratios[i], 1.0) * (mu - lam)
             if ratios[i] <= 1.0:
                 lam[i] = 0.0
-            keep = np.flatnonzero(lam > WOLFE_POS_TOL)
-            corral = [corral[q] for q in keep]
-            lam = lam[keep] / np.sum(lam[keep])
+            # Downdate K^-1 for each leaving column, last first.
+            leaving = lam <= WOLFE_POS_TOL
+            for q in np.flatnonzero(leaving)[::-1]:
+                keep = np.arange(len(corral)) != q
+                v = kinv[keep, q]
+                kinv = kinv[np.ix_(keep, keep)] - np.outer(v, v / kinv[q, q])
+                del corral[q]
+            rs = rs[~leaving]
+            lam = lam[~leaving]
+            lam /= np.sum(lam)
         x = g[:, corral] @ lam
 
 
@@ -315,16 +350,19 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     ``Fraction`` columns, the two-phase simplex runs, and an empty weight
     polytope gives the separator h from the Farkas duals.  A scalable
     result carries u, the last basic point, and s*, ``None`` when phase 2
-    stopped short of its optimum.  ``route`` names the way taken.  The s
-    column is the sum of the v columns, so in exact arithmetic Bland's
-    rule lets it enter only once the v columns are done: phase 1 pivots
-    as it would on the weight polytope alone.
+    stopped short of its optimum.  ``route`` names the way taken, Wolfe's
+    cycles and refreshes of K^-1, and the simplex pivots.  The s column is
+    the sum of the v columns, so in exact arithmetic Bland's rule lets it
+    enter only once the v columns are done: phase 1 pivots as it would on
+    the weight polytope alone.
     """
     d, k = g.shape
     basis, route = None, "two-phase, exact"
     if g.dtype != object:
         w = _wolfe(g)
         cycles = f"{w.major} major and {w.minor} minor Wolfe cycles"
+        if w.refreshes:
+            cycles += f" ({w.refreshes} fresh K^-1)"
         if w.stop == "separator":
             return WeightProgram(None, None, w.x,
                                  f"Wolfe separator after {cycles}")
@@ -336,6 +374,8 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     c = np.zeros(k + 1, dtype=g.dtype)
     c[k] = -1
     res = _solve(g, a, b, c, basis)
+    route += (f"; {'phase 2' if basis else 'both phases'}: {res.pivots} "
+              f"pivots, {res.guarded} under Bland's guard")
     if res.status == simplex.INFEASIBLE:
         return WeightProgram(None, None, -res.ray[:d], route)
     s_star = res.x[k]
@@ -447,7 +487,8 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     subset has at most ``EXACT_CAP`` active columns; the verdict then
     carries ``boundary_flag``.  Above the cap a band separator is only
     flagged, and a failed re-check raises.  Each returned verdict logs one
-    DEBUG record naming the route taken and Wolfe's cycle counts.
+    DEBUG record naming the route taken, Wolfe's cycle counts and the
+    simplex pivots.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -554,7 +595,7 @@ def identity_in_outer_hull(frame: Frame) -> bool:
     Solved as a feasibility LP over vectorized symmetric matrices; kept as
     an independent route for cross-checking the transform-based decision.
     """
-    active = _active_columns(frame, range(frame.m))
+    active = _active_columns(frame, _all_columns(frame.m))
     rows = outer_svec_rows(frame, active)  # one row per column of the frame
     ident = svec(np.eye(frame.n))
     k = len(active)

@@ -9,6 +9,7 @@ between concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,14 @@ def numerical_rank(a: np.ndarray) -> int:
         return 0
     cutoff = s[0] * max(a.shape) * np.finfo(float).eps * RANK_SLACK
     return int(np.count_nonzero(s > cutoff))
+
+
+@lru_cache(maxsize=64)
+def _all_columns(m: int) -> tuple:
+    """The tuple (0, ..., m - 1), one per size: the subset of every decide
+    on all columns and the support of full-support weights share it, so
+    callers that keep thousands of results keep one copy."""
+    return tuple(range(m))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -80,7 +89,7 @@ class Tightness:
     alpha: float  # Tr(Phi Phi^T) / N, the only possible tight constant
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingWeights:
     """Nonnegative squared scalars u_k = c_k^2, normalized to sum 1.
 
@@ -137,8 +146,10 @@ def make_weights(frame: Frame, u: np.ndarray, *, normalize: bool = True,
     if normalize:
         u /= total
     alpha, residual = weights_residual(frame, u)
-    support = tuple(int(k) for k in np.flatnonzero(u > 0.0))
-    return ScalingWeights(u=_frozen(u).reshape(-1), alpha=alpha,
+    nonzero = np.flatnonzero(u > 0.0)
+    support = (_all_columns(frame.m) if nonzero.size == frame.m
+               else tuple(nonzero.tolist()))
+    return ScalingWeights(u=_frozen(u), alpha=alpha,
                           support=support, residual=residual,
                           u_exact=u_exact, alpha_exact=alpha_exact)
 

@@ -1,15 +1,24 @@
-"""Dense two-phase simplex with Bland's rule, over float64 or ``Fraction``.
+"""Dense two-phase simplex over float64 or ``Fraction``.
 
 Problems are given in standard form
 
     minimize c'x  subject to  A x = b,  x >= 0,
 
-with A dense and small (tens of rows and columns); everything the rest of
-the package needs fits there after adding slack/surplus variables and
-splitting free variables.  Bland's anti-cycling rule keeps the method
-finite.  One tableau routine serves both number types: ``solve_lp`` runs it
-over float64 arrays with small tolerances, ``solve_lp_exact`` over object
-arrays of ``Fraction`` with zero tolerances, so its verdicts are exact.
+with A dense and small (up to a few hundred rows and columns);
+everything the rest of the package needs fits there after adding
+slack/surplus variables and splitting free variables.  One tableau routine
+serves both number types: ``solve_lp`` runs it over float64 arrays with
+small tolerances, ``solve_lp_exact`` over object arrays of ``Fraction``
+with zero tolerances, so its verdicts are exact.
+
+Float pivots enter the column with the most negative reduced cost
+(Dantzig's rule).  Only degenerate pivots can cycle, so after
+``DEGENERATE_RUN`` of them in a row the float simplex enters by Bland's
+rule (the first improving column; Math. Oper. Res. 2, 1977) until a pivot
+makes progress, which keeps the method finite.  Rational pivots always
+use Bland's rule.  The leaving row is the smallest basic index among the
+minimal ratios under both rules.  Each result counts its pivots and the
+ones taken under Bland's guard.
 
 The final basis is part of the result because the feasibility certificates
 elsewhere in the package are read off basic solutions.  An infeasible
@@ -23,6 +32,7 @@ still primal feasible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +49,7 @@ DEFAULT_COST_TOL = 1e-9
 DEFAULT_PIVOT_TOL = 1e-11
 DEFAULT_FEAS_TOL = 1e-9
 MAX_ITERATIONS = 20000
+DEGENERATE_RUN = 50  # degenerate float pivots in a row before Bland's rule
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
@@ -50,6 +61,8 @@ class LPResult:
     objective: float | Fraction | None
     basis: list | None
     ray: np.ndarray | None = None   # Farkas ray of an INFEASIBLE result
+    pivots: int = 0                 # simplex pivots, both phases
+    guarded: int = 0                # of those, taken by Bland's guard
 
 
 def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
@@ -69,16 +82,31 @@ def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
 
 
 def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
-                 cost_tol, pivot_tol) -> str:
-    """Pivot to optimality over the first ``ncols`` columns (Bland)."""
+                 cost_tol, pivot_tol, counts: Counter) -> str:
+    """Pivot to optimality over the first ``ncols`` columns.
+
+    Float tableaus enter the most negative reduced cost (Dantzig) until
+    ``DEGENERATE_RUN`` pivots in a row have made no progress, then Bland's
+    first improving column until one does; rational tableaus always take
+    Bland's.  ``counts`` adds up the pivots and the guarded ones.
+    """
+    dantzig = t.dtype != object
+    stalled = 0  # consecutive degenerate pivots
     for _ in range(MAX_ITERATIONS):
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -cost_tol:
-                entering = j
-                break
-        if entering < 0:
-            return OPTIMAL
+        if dantzig and stalled < DEGENERATE_RUN:
+            entering = int(np.argmin(obj[:ncols]))
+            if obj[entering] >= -cost_tol:
+                return OPTIMAL
+        else:
+            entering = -1
+            for j in range(ncols):
+                if obj[j] < -cost_tol:
+                    entering = j
+                    break
+            if entering < 0:
+                return OPTIMAL
+            if dantzig:
+                counts["guarded"] += 1
         col = t[:, entering]
         # A float entry far below the column's largest one is elimination
         # residue, and pivoting on it wrecks the tableau; exact arithmetic
@@ -91,10 +119,14 @@ def _run_simplex(t: np.ndarray, obj: np.ndarray, basis: list, ncols: int,
         # ratio never goes negative.
         ratios = np.maximum(t[rows, -1], 0) / col[rows]
         best = ratios.min()
+        # A step within the pivot tolerance counts as no progress: a cycle
+        # can consist of such pivots only.
+        stalled = 0 if best > pivot_tol else stalled + 1
         # Bland tie-break: among minimal ratios leave the smallest basic index.
         tied = rows[ratios <= best]
         leaving = min(tied, key=lambda i: basis[i])
         _pivot(t, obj, basis, int(leaving), entering)
+        counts["pivots"] += 1
     return ITERATION_LIMIT
 
 
@@ -108,12 +140,13 @@ def _objective_row(t: np.ndarray, basis: list, costs: np.ndarray,
 
 
 def _extract(t: np.ndarray, basis: list, c: np.ndarray, n: int,
-             zero, status: str) -> LPResult:
+             zero, status: str, counts: Counter) -> LPResult:
     x = np.full(n, zero, dtype=t.dtype)
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = t[i, -1]
-    return LPResult(status, x, c @ x, list(basis))
+    return LPResult(status, x, c @ x, list(basis),
+                    pivots=counts["pivots"], guarded=counts["guarded"])
 
 
 def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
@@ -121,6 +154,7 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
     """The simplex proper, on arrays whose entries are all of the type of
     ``zero`` (float64 arrays, or object arrays of ``Fraction``)."""
     m, n = a.shape
+    counts = Counter()
     t = np.hstack([a, b.reshape(-1, 1)])
     neg = t[:, -1] < 0
     t[neg] *= -1
@@ -137,7 +171,8 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
         costs1 = np.concatenate([np.full(n, zero, dtype=t.dtype),
                                  np.full(m, one, dtype=t.dtype)])
         obj = _objective_row(t, basis, costs1, zero)
-        status = _run_simplex(t, obj, basis, n + m, cost_tol, pivot_tol)
+        status = _run_simplex(t, obj, basis, n + m, cost_tol, pivot_tol,
+                              counts)
         if status != OPTIMAL:
             raise LPNumericalFailure(f"phase 1 ended with {status}")
         if -obj[-1] > feas_tol:
@@ -146,7 +181,8 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
             # y'b = the phase-1 optimum > 0.
             ray = one - obj[n:n + m]
             ray[neg] *= -1
-            return LPResult(INFEASIBLE, None, None, None, ray)
+            return LPResult(INFEASIBLE, None, None, None, ray,
+                            counts["pivots"], counts["guarded"])
 
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = []
@@ -165,8 +201,8 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
         t = np.hstack([t[:, :n], t[:, -1:]])
 
     obj = _objective_row(t, basis, c, zero)
-    status = _run_simplex(t, obj, basis, n, cost_tol, pivot_tol)
-    return _extract(t, basis, c, n, zero, status)
+    status = _run_simplex(t, obj, basis, n, cost_tol, pivot_tol, counts)
+    return _extract(t, basis, c, n, zero, status, counts)
 
 
 def solve_lp(a, b, c, *, initial_basis=None) -> LPResult:

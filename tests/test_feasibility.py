@@ -374,6 +374,71 @@ def test_decide_logs_one_record_naming_its_route(
     assert "two-phase, exact" in record.getMessage()
 
 
+def test_route_record_names_pivots_and_phase(mercedes, onb_plus, caplog):
+    cases = [(mercedes, "float", r"; phase 2: (\d+) pivots, 0 under "
+              r"Bland's guard$"),
+             (onb_plus, "float", r"; both phases: (\d+) pivots, 0 under "
+              r"Bland's guard$"),
+             (mercedes, "exact", r"; both phases: (\d+) pivots, 0 under "
+              r"Bland's guard$")]
+    for frame, mode, pattern in cases:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+            fs.decide(frame, mode=mode)
+        [record] = caplog.records
+        assert re.search(pattern, record.getMessage())
+    f = random_scalable_frame(np.random.default_rng(0), 10, 60)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+        fs.decide(f)
+    [record] = caplog.records
+    assert "fresh K^-1" not in record.getMessage()
+    assert int(re.search(r"phase 2: (\d+) pivots", record.getMessage())
+               .group(1)) > 0
+
+
+def test_decide_separates_random_20x400_frame(monkeypatch):
+    # 2.2 s with a least-squares solve per Wolfe minor cycle; ~0.2 s with
+    # the kept inverse.  The bound leaves room for a loaded machine.
+    monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
+    f = fs.random_frame(20, 400, seed=1)
+    start = time.perf_counter()
+    v = fs.decide(f)
+    assert time.perf_counter() - start < 1.0
+    assert not v.scalable and v.t_star > feasibility.DEFAULT_BOUNDARY_BAND
+    assert v.certificate.verify(fs.f_image(f)) > 0.0
+
+
+def test_decide_determines_strictness_at_20x400():
+    # 5.9 s with Bland's rule in phase 2 and a least-squares solve per
+    # Wolfe minor cycle; ~0.7 s with Dantzig pricing and the kept inverse.
+    f = random_scalable_frame(np.random.default_rng(0), 20, 400)
+    start = time.perf_counter()
+    v = fs.decide(f)
+    assert time.perf_counter() - start < 3.0
+    assert v.scalable and v.strict and v.s_star is not None
+    w = v.certificate
+    assert w.residual <= 1e-9 * w.alpha
+
+
+def test_results_keep_no_instance_dict_and_share_full_support(mercedes,
+                                                               quadrant):
+    v = fs.decide(mercedes)
+    assert v.strict and v.certificate.support is v.subset
+    sep = fs.decide(quadrant).certificate
+    for obj in (v, v.certificate, sep):
+        assert not hasattr(obj, "__dict__")
+
+
+def test_active_columns_reads_no_column_of_a_frame_without_zero_columns(
+        mercedes, monkeypatch):
+    f = fs.build_frame(2, [(1, 0), (0, 0), (0, 1)])
+    assert feasibility._active_columns(f, (0, 1, 2)) == (0, 2)
+    monkeypatch.setattr(fs.Frame, "column", _must_not_run)
+    subset = (0, 2)
+    assert feasibility._active_columns(mercedes, subset) is subset
+
+
 def test_decide_dimension_one():
     f = fs.build_frame(1, [(2.0,), (-1.0,)])
     v = fs.decide(f)

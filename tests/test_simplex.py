@@ -171,3 +171,57 @@ def test_separator_optimum_is_literal_zero_for_scalable_frames(seed):
     f = random_scalable_frame(rng, int(rng.integers(2, 5)), 8)
     t_star, _ = fs.separator_search(fs.f_image(f))
     assert t_star == 0.0
+
+
+def beale():
+    """Beale's LP (Naval Res. Logist. Q. 2, 1955) in standard form, slacks
+    first: Dantzig's rule cycles from the slack basis."""
+    a = np.array([[1, 0, 0, 1 / 4, -60, -1 / 25, 9],
+                  [0, 1, 0, 1 / 2, -90, -1 / 50, 3],
+                  [0, 0, 1, 0, 0, 1, 0]])
+    b = np.array([0.0, 0.0, 1.0])
+    c = np.array([0, 0, 0, -3 / 4, 150, -1 / 50, 6])
+    return a, b, c
+
+
+def test_bland_guard_breaks_beales_cycle(monkeypatch):
+    a, b, c = beale()
+    res = simplex.solve_lp(a, b, c, initial_basis=[0, 1, 2])
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == pytest.approx(-1 / 20, abs=1e-12)
+    np.testing.assert_allclose(res.x, [3 / 100, 0, 0, 1 / 25, 0, 1, 0],
+                               atol=1e-12)
+    assert 0 < res.guarded < res.pivots
+    # Without the guard, Dantzig's rule cycles until the iteration cap.
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", simplex.MAX_ITERATIONS)
+    res = simplex.solve_lp(a, b, c, initial_basis=[0, 1, 2])
+    assert res.status == simplex.ITERATION_LIMIT
+
+
+def test_exact_mode_keeps_blands_rule():
+    a, b, c = beale()
+    to_exact = [[Fraction(v).limit_denominator(100) for v in row] for row in a]
+    res = simplex.solve_lp_exact(to_exact, b.tolist(),
+                                 [Fraction(v).limit_denominator(100)
+                                  for v in c], initial_basis=[0, 1, 2])
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == Fraction(-1, 20)
+    assert res.guarded == 0 and res.pivots == 6
+
+
+def test_float_phase_2_prices_by_dantzigs_rule():
+    # min -x1 - 3 x2 s.t. x1 + x2 + s1 = 1, x1 - x2 + s2 = 1: Bland's rule
+    # enters x1 first and takes two pivots; the largest reduced cost, x2,
+    # reaches the optimum in one.
+    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
+    b = np.array([1.0, 1.0])
+    c = np.array([-1.0, -3.0, 0.0, 0.0])
+    res = simplex.solve_lp(a, b, c, initial_basis=[2, 3])
+    assert res.status == simplex.OPTIMAL
+    assert res.objective == pytest.approx(-3.0)
+    assert (res.pivots, res.guarded) == (1, 0)
+    exact = simplex.solve_lp_exact(a.astype(int).tolist(),
+                                   b.astype(int).tolist(),
+                                   c.astype(int).tolist(),
+                                   initial_basis=[2, 3])
+    assert exact.objective == -3 and exact.pivots == 2

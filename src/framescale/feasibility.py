@@ -8,8 +8,14 @@ max-min-weight program
 
     maximize s  subject to  F u = 0,  sum u = 1,  u = v + s 1,  v, s >= 0.
 
-In float mode Wolfe's minimum-norm-point algorithm (Math. Prog. 11, 1976)
-runs first on the columns.  A point x of their hull with
+In float mode, k <= d columns are first read off the point x of their
+affine hull nearest the origin: x has <x, F(phi_k)> = |x|^2 for every k,
+so an x away from the origin is the separator, and an x at the origin
+with nonnegative, unique affine weights is the whole weight polytope.
+This is why frames of small redundancy are scalable only on a nowhere
+dense set: k <= d generic columns have an affine hull that misses the
+origin.  Otherwise Wolfe's minimum-norm-point algorithm (Math. Prog. 11,
+1976) runs on the columns.  A point x of their hull with
 min_k <x, F(phi_k)> > 0 is the separator, and no LP runs.  When x reaches
 the origin, Wolfe's corral of d + 1 columns is a feasible basis of the
 program, and phase 2 runs from there to the optimum s*.  Otherwise the
@@ -44,7 +50,7 @@ import numpy as np
 from . import exact, simplex
 from .errors import (DimensionTooSmall, Infeasible, LPNumericalFailure,
                      NotStrictlyScalable, TooLarge, ZeroColumn)
-from .fmap import FImage, f_image, outer_svec_rows, svec
+from .fmap import FImage, f_image, f_vector, outer_svec_rows, svec
 from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
                      _frozen, make_weights, numerical_rank)
 
@@ -94,11 +100,13 @@ class Verdict:
     """Outcome of ``decide``.
 
     ``t_star`` is the re-verified margin of the separator on non-scalable
-    verdicts and 0.0 on scalable ones.  A float separator is Wolfe's
-    point, taken once its margin at |h|_inf = 1 clears
-    ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm point (the Farkas
-    one when the two-phase fallback runs), so t* is a certified margin
-    but not the best one (``separator_search`` gives that).  ``s_star``
+    verdicts and 0.0 on scalable ones.  A float separator is the nearest
+    point x of the affine hull of k <= d columns, with margin
+    |x|^2 / |x|_inf; or Wolfe's point, taken once its margin at
+    |h|_inf = 1 clears ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm
+    point; or the Farkas one when the two-phase fallback runs.  So t* is
+    a certified margin but not the best one (``separator_search`` gives
+    that).  ``s_star``
     is the optimum of the max-min-weight program on scalable verdicts,
     whichever basis phase 2 started from; ``None`` there means that phase
     2 did not reach its optimum, so strictness was not determined
@@ -209,6 +217,63 @@ def weight_polytope(g: np.ndarray):
     return a, b
 
 
+def _shifted_gram_inverse(rs: np.ndarray):
+    """K^-1 for K = rs rs' + 1 1' (a pseudo-inverse when K is singular) and
+    the condition number of K, from one eigendecomposition."""
+    vals, vecs = np.linalg.eigh(rs @ rs.T + 1.0)
+    keep = vals > 1e-15 * vals[-1]  # the cutoff of numpy's pinv
+    kinv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
+    return kinv, vals[-1] / vals[0] if vals[0] > 0.0 else np.inf
+
+
+def _affine_weights(rs: np.ndarray, kinv: np.ndarray):
+    """The affine weights mu = K^-1 1 / 1'K^-1 1 of the point of the affine
+    hull of the rows rs nearest the origin, K = rs rs' + 1 1', after one
+    step of iterative refinement against K; and whether K^-1 held, that is
+    whether the residual the step corrects is at most
+    ``WOLFE_UPDATE_TOL`` |K^-1 1|_1."""
+    y = kinv.sum(axis=1)
+    r = 1.0 - rs @ (rs.T @ y) - y.sum()
+    held = np.max(np.abs(r)) <= WOLFE_UPDATE_TOL * np.sum(np.abs(y))
+    y += kinv @ r
+    return y / y.sum(), held
+
+
+def _affine_hull(g: np.ndarray) -> WeightProgram | None:
+    """The max-min-weight program on float columns g read off the point x
+    of their affine hull nearest the origin, or None when x decides
+    nothing.
+
+    x is orthogonal to every difference of columns, so <x, g_k> = |x|^2
+    for every k, whatever the signs of its affine weights mu: an x away
+    from the origin separates all the columns at once.  At the origin,
+    with the columns (g_k, 1) linearly independent, mu is the only point
+    of {g u = 0, sum u = 1}; when mu >= 0 the weight polytope is {mu}, and
+    s* = min mu.  None when K is past ``WOLFE_MAX_COND`` (affinely
+    dependent columns), when x misses the band, or when the origin lies
+    in the affine hull outside the convex hull.
+    """
+    norms = np.einsum("ij,ij->j", g, g)
+    scale = np.max(norms)
+    if scale == 0.0:  # every column underflowed to the origin
+        return None
+    rs = g.T / np.sqrt(scale)
+    kinv, cond = _shifted_gram_inverse(rs)
+    if cond > WOLFE_MAX_COND:
+        return None
+    mu = _affine_weights(rs, kinv)[0]
+    x = g @ mu
+    if x @ x > WOLFE_ZERO_TOL * scale:
+        if np.min(x @ g) > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x)):
+            return WeightProgram(None, None, x, "affine-hull separator")
+        return None
+    if np.min(mu) < -WOLFE_POS_TOL:
+        return None
+    u = np.maximum(mu, 0.0)
+    u /= u.sum()
+    return WeightProgram(u, np.min(u), None, "affine-hull weights")
+
+
 def _wolfe(g: np.ndarray) -> Wolfe:
     """Wolfe's minimum-norm-point algorithm on the float columns g.
 
@@ -287,17 +352,13 @@ def _wolfe(g: np.ndarray) -> Wolfe:
             kinv = bordered
         while True:
             if fresh:
-                kinv = np.linalg.pinv(rs @ rs.T + 1.0, hermitian=True)
-            y = kinv.sum(axis=1)
-            r = 1.0 - rs @ (rs.T @ y) - y.sum()
-            if not fresh and np.max(np.abs(r)) > \
-                    WOLFE_UPDATE_TOL * np.sum(np.abs(y)):
+                kinv = _shifted_gram_inverse(rs)[0]
+            mu, held = _affine_weights(rs, kinv)
+            if not (fresh or held):
                 fresh = True
                 refreshes += 1
                 continue
             fresh = False
-            y += kinv @ r  # one step of iterative refinement
-            mu = y / y.sum()
             if np.all(mu > WOLFE_POS_TOL):
                 lam = mu
                 break
@@ -323,20 +384,30 @@ def _wolfe(g: np.ndarray) -> Wolfe:
         x = g[:, corral] @ lam
 
 
-def _wolfe_basis(g: np.ndarray, w: Wolfe):
-    """Wolfe's corral at the origin as a feasible basis of the max-min-weight
-    program, or ``None`` and the reason it is not one."""
-    d = g.shape[0]
+def _wolfe_basis(a: np.ndarray, b: np.ndarray, w: Wolfe):
+    """The max-min-weight program A x = b in canonical form on Wolfe's
+    corral at the origin, B^-1 (A, b) with the identity on the corral's
+    columns, and None; or (A, b) unchanged and the reason the corral is
+    no feasible basis.  One inverse of the corral basis B gives its
+    condition number (in the 1-norm), its feasibility and the canonical
+    form."""
+    d = a.shape[0] - 1
     if w.stop != "zero":
-        return None, f"Wolfe {w.stop}"
+        return a, b, f"Wolfe {w.stop}"
     if len(w.corral) < d + 1:
-        return None, f"corral of {len(w.corral)} < d + 1 = {d + 1} columns"
-    b, e = weight_polytope(g[:, w.corral])
-    if np.linalg.cond(b) > WOLFE_MAX_COND:
-        return None, "singular corral basis"
-    if np.min(np.linalg.solve(b, e)) < -simplex.DEFAULT_FEAS_TOL:
-        return None, "infeasible corral basis"
-    return list(w.corral), None
+        return a, b, f"corral of {len(w.corral)} < d + 1 = {d + 1} columns"
+    basis = a[:, w.corral]
+    try:
+        binv = np.linalg.inv(basis)
+    except np.linalg.LinAlgError:
+        return a, b, "singular corral basis"
+    if np.linalg.norm(basis, 1) * np.linalg.norm(binv, 1) > WOLFE_MAX_COND:
+        return a, b, "singular corral basis"
+    t = binv @ np.column_stack([a, b])
+    if np.min(t[:, -1]) < -simplex.DEFAULT_FEAS_TOL:
+        return a, b, "infeasible corral basis"
+    t[:, w.corral] = np.eye(d + 1)
+    return t[:, :-1], np.maximum(t[:, -1], 0.0), None
 
 
 def _max_min_weight(g: np.ndarray) -> WeightProgram:
@@ -344,21 +415,31 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
 
         maximize s  subject to  g u = 0,  sum u = 1.
 
-    Over float columns Wolfe's algorithm runs first.  A separating point
-    is returned as h, with no LP; a corral at the origin that is a
-    feasible basis starts phase 2.  Otherwise, and always over
+    Over float columns, k <= d of them go to the nearest point of their
+    affine hull first (``_affine_hull``): a separator there is returned as
+    h, and unique nonnegative affine weights as u with s* = min u, with no
+    LP.  When that point decides nothing, and for k > d, Wolfe's algorithm
+    runs.  A separating point is returned as h, with no LP; a corral at
+    the origin that is a feasible basis starts phase 2.  Otherwise, and
+    always over
     ``Fraction`` columns, the two-phase simplex runs, and an empty weight
     polytope gives the separator h from the Farkas duals.  A scalable
     result carries u, the last basic point, and s*, ``None`` when phase 2
     stopped short of its optimum.  ``route`` names the way taken, Wolfe's
-    cycles and refreshes of K^-1, and the simplex pivots.  The s column is
+    cycles and refreshes of K^-1, and the simplex pivots.  k = d + 1
+    columns stay on Wolfe's path: their affine hull is all of R^d, and the
+    corral basis with phase 2 gives s*.  The s column is
     the sum of the v columns, so in exact arithmetic Bland's rule lets it
     enter only once the v columns are done: phase 1 pivots as it would on
     the weight polytope alone.
     """
     d, k = g.shape
-    basis, route = None, "two-phase, exact"
-    if g.dtype != object:
+    float_columns = g.dtype != object
+    if float_columns:
+        if k <= d:
+            prog = _affine_hull(g)
+            if prog is not None:
+                return prog
         w = _wolfe(g)
         cycles = f"{w.major} major and {w.minor} minor Wolfe cycles"
         if w.refreshes:
@@ -366,13 +447,16 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
         if w.stop == "separator":
             return WeightProgram(None, None, w.x,
                                  f"Wolfe separator after {cycles}")
-        basis, why = _wolfe_basis(g, w)
-        route = (f"Wolfe basis and phase 2 after {cycles}" if why is None
-                 else f"two-phase fallback ({why}) after {cycles}")
     a, b = weight_polytope(g)
     a = np.column_stack([a, np.append(g.sum(axis=1), k)])
     c = np.zeros(k + 1, dtype=g.dtype)
     c[k] = -1
+    basis, route = None, "two-phase, exact"
+    if float_columns:
+        a, b, why = _wolfe_basis(a, b, w)
+        basis = w.corral if why is None else None
+        route = (f"Wolfe basis and phase 2 after {cycles}" if why is None
+                 else f"two-phase fallback ({why}) after {cycles}")
     res = _solve(g, a, b, c, basis)
     route += (f"; {'phase 2' if basis else 'both phases'}: {res.pivots} "
               f"pivots, {res.guarded} under Bland's guard")
@@ -478,10 +562,12 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
 
     Zero columns are carried with weight zero: they never affect the
     verdict and can never be separated.  Non-spanning subsets come back
-    non-scalable with ``spans`` False.  In float mode Wolfe's
-    minimum-norm-point algorithm runs first and either returns the
+    non-scalable with ``spans`` False.  In float mode a subset of at most
+    d active columns is first decided by the nearest point of its affine
+    hull; then Wolfe's minimum-norm-point algorithm either returns the
     separator or starts phase 2 of the max-min-weight program; the
-    two-phase LP of mode ``"exact"`` is the fallback.  A float separator
+    two-phase LP of mode ``"exact"`` is the fallback.  Only the active
+    columns are transformed.  A float separator
     whose re-verified margin is at most ``band``, and a float certificate
     that fails its re-check, are re-decided through the exact LP when the
     subset has at most ``EXACT_CAP`` active columns; the verdict then
@@ -506,7 +592,7 @@ def _decide_float(frame: Frame, subset, band, tol_tight, rational):
     active = _active_columns(frame, subset)
     if not active:
         return _verdict_no_columns(subset), "no active columns"
-    g = f_image(frame).columns(active)
+    g = f_vector(frame.matrix[:, list(active)])
     prog = _max_min_weight(g)
     can_escalate = len(active) <= EXACT_CAP
 

@@ -209,11 +209,12 @@ def solve_lp(a, b, c, *, initial_basis=None) -> LPResult:
     """Two-phase simplex over float64.
 
     ``initial_basis`` may name one column per row whose submatrix B is
-    nonsingular with B^-1 b >= 0 up to rounding; the tableau is transformed
-    by B^-1 once, and phase 1 is skipped.
+    nonsingular with B^-1 b >= 0 up to rounding; phase 1 is skipped, and
+    the tableau is transformed by B^-1 once unless B is the identity.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    if initial_basis is not None:
+    if initial_basis is not None and not np.array_equal(
+            a[:, initial_basis], np.eye(len(b))):
         t = np.linalg.solve(a[:, initial_basis], np.column_stack([a, b]))
         a, b = t[:, :-1], np.maximum(t[:, -1], 0.0)
         a[:, initial_basis] = np.eye(len(b))

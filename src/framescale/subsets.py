@@ -12,7 +12,8 @@ A direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
 of the convex hull of F_T, so T is not scalable.  Each search keeps the
 separators its subset decides return and rejects a later candidate without
 an LP when a kept h clears the threshold on every column of it; that test
-is the re-verification of h on the candidate.
+is the re-verification of h on the candidate.  A kept h is stored as the
+bit mask of the columns it clears, so the test is one sub-mask check.
 """
 
 from __future__ import annotations
@@ -62,28 +63,30 @@ class _SubsetSearch:
     """``decide`` over the candidate subsets of one search, pruned by the
     separators found so far.
 
-    Row r of ``pos`` marks the columns k with <F(phi_k), h_r> above the
-    threshold, for the r-th kept separator h_r.  A candidate marked in
-    every column of some row is rejected without an LP.  Float mode keeps
-    the normalized ``Separator.h`` with ``DEFAULT_BOUNDARY_BAND`` as the
-    threshold, the margin ``decide`` accepts a float separator with, so a
-    candidate on which h falls inside the band still goes to ``decide``.
-    Exact mode keeps ``Separator.h_exact`` with threshold 0 over the
-    rational F-image, so every rejection is a proof.  The F-image is built
-    when the first separator arrives.
+    Each kept separator h is a bit mask, a Python int with bit k set when
+    <F(phi_k), h> is above the threshold.  A candidate whose own mask is a
+    sub-mask of a kept one is rejected without an LP.  Only maximal masks
+    are kept, since a candidate under a dropped mask is under the one that
+    dropped it.  Float mode keeps the normalized ``Separator.h`` with
+    ``DEFAULT_BOUNDARY_BAND`` as the threshold, the margin ``decide``
+    accepts a float separator with, so a candidate on which h falls inside
+    the band still goes to ``decide``.  Exact mode keeps
+    ``Separator.h_exact`` with threshold 0 over the rational F-image, so
+    every rejection is a proof.  The F-image is built when the first
+    separator arrives.
     """
 
     def __init__(self, frame: Frame, mode: str):
         self.frame = frame
         self.mode = mode
         self.g = None
-        self.pos = np.zeros((0, frame.m), dtype=bool)
+        self.masks = []
         self.tried = self.rejected = 0
 
     def decide(self, idx: tuple) -> Verdict | None:
         """The verdict on ``idx``, or None when a kept separator rejects it."""
         self.tried += 1
-        if self.pos[:, list(idx)].all(axis=1).any():
+        if self._covered(_mask(idx)):
             self.rejected += 1
             return None
         v = decide(self.frame, idx, mode=self.mode)
@@ -102,12 +105,27 @@ class _SubsetSearch:
             if self.g is None:
                 self.g = f_image(self.frame).matrix
             row = sep.h @ self.g > DEFAULT_BOUNDARY_BAND
-        self.pos = np.vstack([self.pos, row])
+        mask = _mask(np.flatnonzero(row).tolist())
+        if not self._covered(mask):
+            self.masks = [kept for kept in self.masks if kept & mask != kept]
+            self.masks.append(mask)
+
+    def _covered(self, mask: int) -> bool:
+        """Is ``mask`` a sub-mask of a kept one?"""
+        return any(mask & kept == mask for kept in self.masks)
 
     def log(self, query: str) -> None:
         logger.debug("%s: %d subsets enumerated, %d rejected by a kept "
                      "separator, %d sent to decide", query, self.tried,
                      self.rejected, self.tried - self.rejected)
+
+
+def _mask(columns) -> int:
+    """The bit mask of a set of column indices."""
+    mask = 0
+    for k in columns:
+        mask |= 1 << k
+    return mask
 
 
 def orthogonal_subbasis(frame: Frame) -> tuple | None:

@@ -339,6 +339,8 @@ def test_wolfe_started_phase_2_keeps_the_two_phase_optimum(
 
 def test_stalled_wolfe_falls_back_to_the_two_phase_lp(
         onb2, quadrant, mercedes, onb_plus, monkeypatch, caplog):
+    # onb2 has k = 2 = d columns, so the affine-hull route would decide it.
+    monkeypatch.setattr(feasibility, "_affine_hull", lambda g: None)
     monkeypatch.setattr(feasibility, "_wolfe", _stalled_wolfe)
     frames = (onb2, quadrant, mercedes, onb_plus)
     with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
@@ -474,6 +476,176 @@ def test_decide_rejects_bad_subset(onb2):
         fs.decide(onb2, subset=(0, 0))
     with pytest.raises(ValueError):
         fs.decide(onb2, subset=(5,))
+
+
+def _corral_at_the_origin(corral):
+    def wolfe(g):
+        return feasibility.Wolfe(np.zeros(g.shape[0]), list(corral), "zero",
+                                 0, 0)
+    return wolfe
+
+
+def _at_angles(*degrees):
+    return fs.build_frame(2, [(np.cos(np.radians(t)), np.sin(np.radians(t)))
+                              for t in degrees])
+
+
+@pytest.mark.parametrize("twin", [(1.0, 0.0), (1.0, 1e-13)])
+def test_singular_corral_basis_falls_back_to_two_phases(twin, monkeypatch,
+                                                        caplog):
+    # Columns 0 and 1 are (nearly) one vector: a corral holding both is no
+    # basis, whether its inverse fails outright or is merely ill-conditioned.
+    f = fs.build_frame(2, [(1.0, 0.0), twin, (0.0, 1.0)])
+    monkeypatch.setattr(feasibility, "_wolfe", _corral_at_the_origin([0, 1, 2]))
+    v, route = _route_of(f, caplog)
+    assert "two-phase fallback (singular corral basis)" in route
+    assert "both phases" in route
+    assert v.scalable and v.certificate.verify(f)
+
+
+def test_infeasible_corral_basis_falls_back_to_two_phases(monkeypatch,
+                                                          caplog):
+    # F(x) = (cos 2t, sin 2t / 2) |x|^2 at angle t: three columns within 30
+    # degrees keep the origin out of their triangle, so the corral's affine
+    # weights at the origin have a negative entry.
+    f = _at_angles(10, 20, 30)
+    monkeypatch.setattr(feasibility, "_wolfe", _corral_at_the_origin([0, 1, 2]))
+    v, route = _route_of(f, caplog)
+    assert "two-phase fallback (infeasible corral basis)" in route
+    assert not v.scalable and v.certificate.verify(fs.f_image(f)) > 0.0
+
+
+def test_wolfe_basis_puts_the_program_in_canonical_form(mercedes):
+    g = fs.f_image(mercedes).matrix
+    a, b = feasibility.weight_polytope(g)
+    w = feasibility._wolfe(g)
+    t, e, why = feasibility._wolfe_basis(a, b, w)
+    assert why is None
+    # B^-1 (A, b) with B = A on the corral: the uniform weights, which
+    # solve A u = b, solve t u = e too.
+    np.testing.assert_array_equal(t[:, w.corral], np.eye(3))
+    np.testing.assert_allclose(t @ np.full(3, 1 / 3), e, atol=1e-12)
+    assert np.all(e >= 0.0)
+
+
+def _route_of(frame, caplog, **kwargs):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+        v = fs.decide(frame, **kwargs)
+    [record] = caplog.records
+    return v, record.getMessage()
+
+
+# --- affine-hull route --------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", range(4, 10))
+def test_small_frames_separate_by_their_affine_hull(m, seed, monkeypatch,
+                                                   caplog):
+    # m <= d = 9 columns: the nearest point x of the affine hull has
+    # <x, F(phi_k)> = |x|^2 on every column, with no Wolfe and no LP.
+    monkeypatch.setattr(feasibility, "_wolfe", _must_not_run)
+    monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
+    f = fs.random_frame(4, m, seed=seed)
+    v, route = _route_of(f, caplog)
+    assert route.endswith("affine-hull separator")
+    assert not v.scalable and not v.boundary_flag
+    products = v.certificate.h @ fs.f_image(f).matrix
+    np.testing.assert_allclose(products, np.max(products), rtol=1e-9)
+    assert v.t_star == v.certificate.verify(fs.f_image(f))
+
+
+def test_small_scalable_frames_take_the_affine_weights(onb2, monkeypatch,
+                                                       caplog):
+    monkeypatch.setattr(feasibility, "_wolfe", _must_not_run)
+    monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
+    frames = [onb2] + [random_scalable_frame(np.random.default_rng(seed), 4, m)
+                       for seed in range(3) for m in (5, 7)]
+    for f in frames:
+        v, route = _route_of(f, caplog)
+        assert route.endswith("affine-hull weights")
+        assert v.scalable and v.strict and not v.boundary_flag
+        w = v.certificate
+        assert w.support == tuple(range(f.m)) and w.verify(f)
+        assert v.s_star == pytest.approx(np.min(w.u[list(w.support)]),
+                                         rel=1e-12)
+    assert v.s_star > 0.0
+
+
+def test_origin_outside_the_convex_hull_goes_to_wolfe(caplog):
+    # F(1, 0) = (1, 0) and F(2, 0) = (4, 0): the affine hull of the two is
+    # the axis, through the origin with weights (4/3, -1/3), and Wolfe
+    # separates them at (1, 0).
+    f = fs.build_frame(2, [(1.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
+    v, route = _route_of(f, caplog, subset=(0, 1))
+    assert "Wolfe separator" in route
+    assert not v.scalable and not v.boundary_flag
+    assert v.t_star == pytest.approx(1.0)
+
+
+def _with_image(a, b):
+    """A vector of R^2 whose image F = (x1^2 - x2^2, x1 x2) is (a, b)."""
+    r, t = np.hypot(a, 2 * b) ** 0.5, np.arctan2(2 * b, a) / 2
+    return r * np.cos(t), r * np.sin(t)
+
+
+def test_affine_point_inside_the_band_goes_to_wolfe(caplog):
+    # The images (1e-6, -1e-12) and (2e-6, -1e-12) span a line 1e-12 from
+    # the origin: its nearest point separates with margin 1e-12, inside the
+    # band, while Wolfe's point (1e-6, -1e-12) separates with margin 1e-6.
+    f = fs.build_frame(2, [_with_image(1e-6, -1e-12),
+                           _with_image(2e-6, -1e-12), (0.0, 1.0)])
+    v, route = _route_of(f, caplog, subset=(0, 1))
+    assert "Wolfe separator" in route
+    assert not v.scalable and not v.boundary_flag
+    assert v.t_star == pytest.approx(1e-6)
+
+
+def test_affinely_dependent_columns_go_to_wolfe(caplog):
+    # e1 and 2 e1 have parallel images, so the weight polytope of
+    # {e1, 2 e1, e2, e3} is a segment, not a point: s* is the LP's.
+    f = fs.build_frame(3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
+    v, route = _route_of(f, caplog)
+    assert "affine-hull" not in route and "phase" in route
+    exact = fs.decide(f, mode="exact")
+    assert v.strict and exact.strict
+    assert v.s_star == pytest.approx(exact.s_star, rel=1e-9)
+
+
+def test_underflowed_columns_skip_the_affine_route():
+    # F squares the entries, so columns of 1e-200 map to the origin of R^2:
+    # there is no norm to scale K by, and the affine route declines.
+    f = fs.build_frame(2, [(1e-200, 0.0), (0.0, 1e-200)])
+    assert not np.any(fs.f_image(f).matrix)
+    assert feasibility._affine_hull(fs.f_image(f).matrix) is None
+    v = fs.decide(f)
+    assert v.scalable and v.strict
+
+
+def _dyadic_frames():
+    """Frames with entries k/8 and m <= d columns: their F-image is exact
+    in float.  Every third one holds a signed basis, so it is scalable."""
+    rng = np.random.default_rng(11)
+    for n in (3, 4):
+        for m in range(n, fs.target_dim(n) + 1):
+            for trial in range(4):
+                mat = rng.integers(-8, 9, size=(n, m)) / 8
+                if trial % 3 == 0:
+                    mat[:, :n] = np.diag(rng.choice([-1.0, 1.0], size=n))
+                if fs.numerical_rank(mat) == n:
+                    yield fs.build_frame(n, mat.T)
+
+
+def test_affine_route_agrees_with_exact_on_dyadic_frames(caplog):
+    routes = set()
+    for f in _dyadic_frames():
+        v, route = _route_of(f, caplog)
+        routes.add(route.split(": ", 1)[1].split(";")[0].split(" after")[0])
+        if v.boundary_flag:
+            continue
+        e = fs.decide(f, mode="exact")
+        assert (v.scalable, v.strict) == (e.scalable, e.strict), route
+    assert {"affine-hull separator", "affine-hull weights"} <= routes
 
 
 # --- sign-based rejection ---------------------------------------------------

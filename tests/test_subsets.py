@@ -7,6 +7,8 @@ import pytest
 
 import framescale as fs
 import framescale.subsets as subsets
+from framescale import feasibility
+from framescale.exact import f_vector_exact, frame_to_fractions
 from conftest import random_orthogonal, random_scalable_frame
 
 
@@ -419,3 +421,65 @@ def test_kept_separator_rejects_only_above_its_threshold(mode, monkeypatch):
     # 5e-10 lies inside the float band but is a positive rational.
     assert (search.decide((2, 4)) is None) == (mode == "exact")
     assert len(calls) == 1 + (mode == "float")
+
+
+# --- bit-mask pruning ---------------------------------------------------------
+
+def _reference_row(search, sep):
+    """The columns a kept separator clears, as the boolean-matrix rule that
+    the bit masks replace computed them."""
+    f = search.frame
+    if search.mode == "exact":
+        g = np.array([f_vector_exact(c) for c in frame_to_fractions(f)],
+                     dtype=object).T
+        return np.array(sep.h_exact, dtype=object) @ g > 0
+    return sep.h @ fs.f_image(f).matrix > feasibility.DEFAULT_BOUNDARY_BAND
+
+
+@pytest.mark.parametrize("mode, n, m, sizes", [("float", 4, 13, (9, 8)),
+                                               ("exact", 3, 7, (5, 4))])
+def test_bit_masks_reject_as_the_boolean_rule(mode, n, m, sizes):
+    f = random_scalable_frame(np.random.default_rng(3), n, m)
+    search = subsets._SubsetSearch(f, mode)
+    pos = np.zeros((0, m), dtype=bool)
+    rejected = equal_masks = kept = 0
+    for idx in (idx for size in sizes for idx in combinations(range(m), size)):
+        expect = bool(pos[:, list(idx)].all(axis=1).any())
+        v = search.decide(idx)
+        assert (v is None) == expect, idx
+        rejected += expect
+        if v is None or not isinstance(v.certificate, fs.Separator):
+            continue
+        row = _reference_row(search, v.certificate)
+        pos = np.vstack([pos, row])
+        # A candidate whose mask equals the kept mask is rejected too.
+        same = tuple(np.flatnonzero(row).tolist())
+        kept += 1
+        equal_masks += subsets._mask(same) in search.masks
+        assert search.decide(same) is None
+    assert rejected > 0 and equal_masks > 0
+    assert search.rejected == rejected + kept
+    # Only maximal masks are kept.
+    assert len(search.masks) < kept
+    assert not any(a != b and a & b == a
+                   for a in search.masks for b in search.masks)
+
+
+def _planted_4x13(rng, s):
+    mat = rng.standard_normal((4, 13))
+    mat[:, :s] = random_scalable_frame(rng, 4, s).matrix
+    return fs.build_frame(4, mat.T)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind", ["tight", "planted5", "planted7"])
+def test_index_does_not_depend_on_the_affine_route(kind, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    f = (random_scalable_frame(rng, 4, 13) if kind == "tight"
+         else _planted_4x13(rng, int(kind[-1])))
+    res = fs.scalability_index(f)
+    monkeypatch.setattr(feasibility, "_affine_hull", lambda g: None)
+    off = fs.scalability_index(f)
+    assert (res.index, res.not_scalable, res.unknown_below) == \
+        (off.index, off.not_scalable, off.unknown_below)
+    assert res.index <= (13 if kind == "tight" else int(kind[-1]))

@@ -1,10 +1,13 @@
 """Guards for code cuts.  The benchmark's tracer still finds every function
 it wraps, so an API cut that removes a traced name fails here rather than
-at ``--trace 1``; and the package keeps no unused module-level import and
-no private top-level definition that nothing references."""
+at ``--trace 1``; the package keeps no unused module-level import and
+no private top-level definition that nothing references; and every
+committed benchmark record ``BENCH_*.json`` covers every workload with
+correct runs that report every end-to-end metric."""
 
 import ast
 import importlib.util
+import json
 import pathlib
 
 import framescale as fs
@@ -86,3 +89,19 @@ def test_every_private_top_level_definition_is_referenced():
                              if d.startswith("_") and not d.startswith("__")
                              and d not in referenced]
     assert not unreferenced
+
+
+def test_committed_bench_records_cover_every_workload():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        assert {run["workload"] for run in runs} == workloads, path.name
+        for run in runs:
+            assert run["side"] in ("parent", "change"), path.name
+            assert isinstance(run["seed"], int), path.name
+            assert run["result"]["correct"] is True, (path.name, run)
+            assert metrics <= set(run["result"]["metrics"]), (path.name, run)

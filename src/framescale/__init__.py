@@ -23,9 +23,8 @@ from .fmap import (FImage, OuterProductSet, QuadForm, f_frame_rank, f_image,
                    target_dim)
 from .feasibility import (ConeFlags, Separator, SignWitness, Verdict,
                           cone_pointed, decide, exact_oracle,
-                          identity_in_outer_hull, separator_from_sign,
-                          separator_search, sign_quick_reject,
-                          weight_recovery)
+                          separator_from_sign, separator_search,
+                          sign_quick_reject, weight_recovery)
 from .subsets import (ScalabilityIndex, SubsetVerdict, caratheodory_reduce,
                       is_m_scalable, orthogonal_subbasis, scalability_index)
 from .topology import (ClosednessProbe, DimensionProbe, PerturbationWitness,

@@ -29,13 +29,10 @@ s* = 0.  Both certificates are re-checked before they are returned.
 Mode ``"exact"`` runs the two-phase program with rational pivots.  Float
 separators whose re-verified margin falls inside a small band are flagged
 and re-decided that way when at most ``EXACT_CAP`` columns are active.
-``separator_search`` keeps the max-margin program
-
-    maximize t  subject to  <F(phi_k), h> >= t  for k in the subset,
-                            |h|_inf <= 1
-
-for callers that want the best margin; the decision never runs it, nor
-``exact_oracle`` (vertex enumeration), which is the reference.
+``separator_search`` runs Wolfe's algorithm on to the minimum-norm point,
+the separator of largest margin at |h|_2 = 1 (Wolfe's algorithm is the
+only separator engine), for callers that want the best margin;
+``exact_oracle`` (vertex enumeration) is the reference.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ import numpy as np
 from . import exact, simplex
 from .errors import (DimensionTooSmall, Infeasible, LPNumericalFailure,
                      NotStrictlyScalable, TooLarge, ZeroColumn)
-from .fmap import FImage, f_image, f_vector, outer_svec_rows, svec
+from .fmap import FImage, f_image, f_vector
 from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
                      _frozen, make_weights, numerical_rank)
 
@@ -105,13 +102,14 @@ class Verdict:
     |x|^2 / |x|_inf; or Wolfe's point, taken once its margin at
     |h|_inf = 1 clears ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm
     point; or the Farkas one when the two-phase fallback runs.  So t* is
-    a certified margin but not the best one (``separator_search`` gives
-    that).  ``s_star``
-    is the optimum of the max-min-weight program on scalable verdicts,
-    whichever basis phase 2 started from; ``None`` there means that phase
-    2 did not reach its optimum, so strictness was not determined
-    (``strict`` is False then and the weights are its last, verified
-    point).
+    a certified margin but not the best one: ``separator_search`` gives
+    the separator of largest margin at |h|_2 = 1, with its margin
+    reported at |h|_inf = 1.  ``exact_oracle``'s t* is the margin of the
+    Farkas separator of its rational program.  ``s_star`` is the optimum
+    of the max-min-weight program on scalable verdicts, whichever basis
+    phase 2 started from; ``None`` there means that phase 2 did not reach
+    its optimum, so strictness was not determined (``strict`` is False
+    then and the weights are its last, verified point).
     """
 
     scalable: bool
@@ -153,57 +151,6 @@ def _active_columns(frame: Frame, subset) -> tuple:
 # Each program builds its standard form with 0/1 integer constants, which
 # suit float64 columns and object columns of Fraction (``solve_lp_exact``
 # converts every entry).
-
-def _solve(g: np.ndarray, a, b, c, basis=None) -> simplex.LPResult:
-    """Solve over the number type of ``g``: rational for object arrays."""
-    solve = simplex.solve_lp_exact if g.dtype == object else simplex.solve_lp
-    return solve(a, b, c, initial_basis=basis)
-
-
-def _separator_lp(g: np.ndarray):
-    """Optimum t* and maximizing h of the separator program on columns g.
-
-    Variables: h = p - q with p, q >= 0 and p_i + q_i <= 1 (equivalent to
-    the infinity-norm box), t split into tp - tm, a surplus per margin row.
-    The surplus/slack columns form a feasible identity start, so no
-    artificial phase is needed and a scalable instance never leaves the
-    all-zero vertex: its optimum is returned as literal 0.0.
-    """
-    d, k = g.shape
-    nvar = 2 * d + 2 + k + d
-    a = np.zeros((k + d, nvar), dtype=g.dtype)
-    b = np.zeros(k + d, dtype=g.dtype)
-    for r in range(k):
-        a[r, :d] = -g[:, r]
-        a[r, d:2 * d] = g[:, r]
-        a[r, 2 * d] = 1
-        a[r, 2 * d + 1] = -1
-        a[r, 2 * d + 2 + r] = 1
-    for i in range(d):
-        a[k + i, i] = 1
-        a[k + i, d + i] = 1
-        a[k + i, 2 * d + 2 + k + i] = 1
-        b[k + i] = 1
-    c = np.zeros(nvar, dtype=g.dtype)
-    c[2 * d] = -1
-    c[2 * d + 1] = 1
-    basis = list(range(2 * d + 2, 2 * d + 2 + k + d))
-    res = _solve(g, a, b, c, basis)
-    if res.status != simplex.OPTIMAL:
-        raise LPNumericalFailure(f"separator LP ended with {res.status}")
-    return res.x[2 * d] - res.x[2 * d + 1], res.x[:d] - res.x[d:2 * d]
-
-
-def separator_search(fi: FImage) -> tuple[float, np.ndarray]:
-    """Best margin t* and a direction achieving it.
-
-    t* > 0 means the open half-space cones of the transformed columns
-    share a point, so the frame is not scalable; t* = 0 means the origin
-    lies in their convex hull and the frame is scalable.
-    """
-    t_star, h = _separator_lp(fi.matrix)
-    return float(t_star), h
-
 
 def weight_polytope(g: np.ndarray):
     """Standard form (A, b) of the weight polytope {g u = 0, sum u = 1,
@@ -274,7 +221,7 @@ def _affine_hull(g: np.ndarray) -> WeightProgram | None:
     return WeightProgram(u, np.min(u), None, "affine-hull weights")
 
 
-def _wolfe(g: np.ndarray) -> Wolfe:
+def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
     """Wolfe's minimum-norm-point algorithm on the float columns g.
 
     The point x walks through conv(g) towards the origin.  Each major cycle
@@ -295,8 +242,9 @@ def _wolfe(g: np.ndarray) -> Wolfe:
     ``stop`` says why it ended:
 
     - "separator": min_k <x, g_k> > 0, and either that margin at
-      |x|_inf = 1 clears ``DEFAULT_BOUNDARY_BAND`` or x is the
-      minimum-norm point;
+      |x|_inf = 1 clears ``band`` or x is the minimum-norm point, the
+      direction of the largest margin at |x|_2 = 1 (``band=None`` runs
+      on to it);
     - "zero": x is the origin up to rounding, so the corral carries a
       point of the weight polytope (at once when d = 0);
     - "stalled": the entering column is already in the corral;
@@ -322,7 +270,7 @@ def _wolfe(g: np.ndarray) -> Wolfe:
         p = x @ g
         j = int(np.argmin(p))
         stop = None
-        if p[j] > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x)):
+        if band is not None and p[j] > band * np.max(np.abs(x)):
             stop = "separator"
         elif p[j] >= xx - WOLFE_OPT_TOL * scale:
             stop = "separator" if p[j] > 0 else "no separation"
@@ -457,7 +405,8 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
         basis = w.corral if why is None else None
         route = (f"Wolfe basis and phase 2 after {cycles}" if why is None
                  else f"two-phase fallback ({why}) after {cycles}")
-    res = _solve(g, a, b, c, basis)
+    solve = simplex.solve_lp if float_columns else simplex.solve_lp_exact
+    res = solve(a, b, c, initial_basis=basis)
     route += (f"; {'phase 2' if basis else 'both phases'}: {res.pivots} "
               f"pivots, {res.guarded} under Bland's guard")
     if res.status == simplex.INFEASIBLE:
@@ -468,6 +417,28 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
                        res.status)
         s_star = None
     return WeightProgram(res.x[:k] + res.x[k], s_star, None, route)
+
+
+def separator_search(fi: FImage) -> tuple[float, np.ndarray]:
+    """The separator of largest margin at |h|_2 = 1, and its margin t*
+    reported at |h|_inf = 1.
+
+    h is the minimum-norm point of the convex hull of the transformed
+    columns (Wolfe's algorithm run to its end), so <h, F(phi_k)> >= |h|^2
+    for every k.  t* > 0 means the frame is not scalable.  When Wolfe
+    reaches the origin, t* is a literal 0.0 and h the zero vector, so
+    callers can test t* > 0 without a tolerance.  When Wolfe stops short,
+    the max-min-weight program of ``decide`` answers: 0.0 when it finds
+    weights, else its separator with that separator's margin.
+    """
+    g = fi.matrix
+    w = _wolfe(g, band=None)
+    h = w.x
+    if w.stop != "separator":
+        h = None if w.stop == "zero" else _max_min_weight(g).h
+    if h is None:
+        return 0.0, np.zeros(fi.d)
+    return float(np.min(h @ g) / np.max(np.abs(h))), h
 
 
 def weight_recovery(frame: Frame, strict: bool = False) -> ScalingWeights:
@@ -672,29 +643,6 @@ def cone_pointed(fi: FImage) -> ConeFlags:
     return ConeFlags(pointed=pointed, polar_interior_empty=not pointed)
 
 
-# --- alternative formulation over outer products ------------------------------
-
-def identity_in_outer_hull(frame: Frame) -> bool:
-    """Scalability via the raw matrix formulation: is some positive
-    multiple of the identity a convex combination of the outer products?
-
-    Solved as a feasibility LP over vectorized symmetric matrices; kept as
-    an independent route for cross-checking the transform-based decision.
-    """
-    active = _active_columns(frame, _all_columns(frame.m))
-    rows = outer_svec_rows(frame, active)  # one row per column of the frame
-    ident = svec(np.eye(frame.n))
-    k = len(active)
-    a = np.zeros((ident.size + 1, k + 1))
-    a[:ident.size, :k] = rows.T
-    a[:ident.size, k] = -ident
-    a[ident.size, :k] = 1.0
-    b = np.zeros(ident.size + 1)
-    b[-1] = 1.0
-    res = simplex.solve_lp(a, b, np.zeros(k + 1))
-    return res.status == simplex.OPTIMAL
-
-
 # --- exact back-ends ----------------------------------------------------------
 
 def _exact_weights_to_scaling(frame: Frame, active, cols,
@@ -727,8 +675,10 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     of the transformed subset is decided by enumerating the vertices of
     the normalized weight polytope; when the subset has no kernel, that
     system is inconsistent and the enumeration returns no vertex at once.
-    The dual branch produces an exact separating direction from the
-    rational-pivot simplex and the two branches are asserted to agree.
+    The dual branch runs the max-min-weight program with rational pivots,
+    as ``decide(mode="exact")`` does, and asserts that it agrees: its
+    Farkas separator is the certificate, and t* is that separator's
+    margin at |h|_inf = 1.
 
     Frame entries convert losslessly to rationals; pass ``rational`` when
     the intended entries are not float-representable (e.g. 50-digit
@@ -765,13 +715,13 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
                        subset=subset, spans=True, resolved_by="exact")
 
     g = np.array(g_cols, dtype=object).T
-    t_star, h = _separator_lp(g)
-    if t_star <= 0:
+    prog = _max_min_weight(g)
+    if prog.u is not None:
         raise ArithmeticError(
-            "exact routes disagree: no vertex, yet no positive separator")
-    sep = _package_separator(g, h, active)
+            "exact routes disagree: no vertex, yet the program finds weights")
+    sep = _package_separator(g, prog.h, active)
     return Verdict(scalable=False, strict=False, certificate=sep,
-                   boundary_flag=False, t_star=float(t_star), s_star=None,
+                   boundary_flag=False, t_star=sep.margin, s_star=None,
                    subset=subset, spans=_exact_spans(cols, subset, frame.n),
                    resolved_by="exact")
 

@@ -69,9 +69,8 @@ def _pivot(t: np.ndarray, obj: np.ndarray, basis: list, row: int, col: int):
     pr = t[row] / t[row, col]
     coef = t[:, col].copy()
     coef[row] = 0
-    # Skipping zero multipliers keeps exact zeros exact, which is what
-    # makes separator_search's optimum land on literal 0.0 for scalable
-    # frames.
+    # Rows with a zero multiplier would not change; skipping them saves
+    # their update, most of all on Fraction tableaux.
     nz = coef != 0
     if np.any(nz):
         t[nz] -= np.outer(coef[nz], pr)

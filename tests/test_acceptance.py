@@ -16,6 +16,7 @@ from framescale import cli
 from framescale.feasibility import Separator
 from framescale.frames import ScalingWeights
 from conftest import random_orthogonal
+from references import identity_in_outer_hull
 
 
 def _report(name, ok, detail=""):
@@ -83,7 +84,7 @@ def test_criterion_2_decider_agreement():
                 unresolved += 1
             continue
         exact_v = fs.exact_oracle(frame)
-        hull = fs.identity_in_outer_hull(frame)
+        hull = identity_in_outer_hull(frame)
         if not (flagged.scalable == exact_v.scalable == hull):
             disagree += 1
     ok = disagree == 0 and band <= 5 and unresolved == 0

@@ -11,14 +11,16 @@ from framescale import exact, feasibility, simplex
 from framescale.feasibility import Separator
 from framescale.frames import ScalingWeights
 from conftest import random_orthogonal, random_scalable_frame
+from references import identity_in_outer_hull
 
 
 # --- separator search -------------------------------------------------------
 
 def test_separator_on_quadrant_frame(quadrant):
     # All products phi(0) phi(1) are positive, so the pure product
-    # coordinate (0, 1) is feasible; maximizing over the box gives 0.4:
-    # min(0.5 h2, 0.4 h2 +/- 0.6 h1) peaks at h = (0, 1).
+    # coordinate (0, 1) separates.  The margins are
+    # min(0.5 h2, 0.4 h2 +/- 0.6 h1); the l2 and l_inf optima coincide at
+    # h = (0, 1), where the margin is 0.4.
     t_star, h = fs.separator_search(fs.f_image(quadrant))
     assert t_star == pytest.approx(0.4, abs=1e-9)
     fi = fs.f_image(quadrant)
@@ -36,6 +38,40 @@ def test_separator_on_mercedes_nonpositive(mercedes):
     np.testing.assert_allclose(fi.matrix @ np.full(3, 1 / 3), 0, atol=1e-15)
     t_star, _ = fs.separator_search(fi)
     assert t_star <= 0.0
+
+
+# (15, 200, 1): the l_inf max-margin LP this search once ran ended at its
+# iteration limit there.
+MIN_NORM_CASES = [(6, 30, 1), (10, 60, 0), (15, 200, 1)]
+
+
+@pytest.mark.parametrize("n, m, seed", MIN_NORM_CASES)
+def test_separator_search_returns_the_minimum_norm_point(n, m, seed):
+    fi = fs.f_image(fs.random_frame(n, m, seed=seed))
+    g = fi.matrix
+    t_star, h = fs.separator_search(fi)
+    assert t_star > 0.0
+    assert t_star == np.min(h @ g) / np.max(np.abs(h))
+    # Optimality: no column lies nearer the origin along h than h itself.
+    assert np.all(h @ g >= (h @ h) * (1 - 1e-9))
+    # h is a point of conv(g): phase 1 finds u >= 0, sum u = 1, g u = h.
+    a = np.vstack([g, np.ones(m)])
+    res = simplex.solve_lp(a, np.append(h, 1.0), np.zeros(m))
+    assert res.status == simplex.OPTIMAL
+
+
+@pytest.mark.parametrize("n, m, seed", MIN_NORM_CASES)
+def test_separator_search_certifies_the_larger_radius(n, m, seed):
+    # The radius grows with min <h, g> / |h|_2, which the minimum-norm
+    # point maximizes, so no certificate of decide certifies more.
+    f = fs.random_frame(n, m, seed=seed)
+    fi = fs.f_image(f)
+    _, h = fs.separator_search(fi)
+    best = feasibility._package_separator(fi.matrix, h, range(m))
+    v = fs.decide(f)
+    assert not v.scalable
+    assert fs.separation_radius(f, best) >= \
+        (1 - 1e-9) * fs.separation_radius(f, v.certificate)
 
 
 # --- weight recovery --------------------------------------------------------
@@ -178,11 +214,7 @@ def test_decide_separates_random_10x100_frame():
 
 @pytest.mark.parametrize("mode", ["float", "exact"])
 def test_decide_never_runs_the_separator_program(
-        onb2, quadrant, mercedes, onb_plus, monkeypatch, mode):
-    def fail(*args, **kwargs):
-        raise AssertionError("separator program called")
-
-    monkeypatch.setattr(feasibility, "_separator_lp", fail)
+        onb2, quadrant, mercedes, onb_plus, mode):
     frames = (onb2, quadrant, mercedes, onb_plus)
     verdicts = [fs.decide(f, mode=mode) for f in frames]
     assert [v.scalable for v in verdicts] == [True, False, True, True]
@@ -844,7 +876,7 @@ def test_three_routes_agree(seed):
         assert vf.resolved_by == "exact"
         return
     assert vf.scalable == fs.exact_oracle(f).scalable \
-        == fs.identity_in_outer_hull(f)
+        == identity_in_outer_hull(f)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -163,10 +163,9 @@ def test_non_identity_initial_basis_skips_phase_1(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_separator_optimum_is_literal_zero_for_scalable_frames(seed):
-    # Scalable instances start at an optimal vertex of the separator
-    # program; every pivot is degenerate and the optimum is returned as
-    # exact 0.0, so callers of separator_search can test t* > 0 without a
-    # tolerance.
+    # Wolfe's point reaches the origin on scalable instances, and that
+    # "zero" stop returns t* as a literal 0.0, so callers of
+    # separator_search can test t* > 0 without a tolerance.
     rng = np.random.default_rng(2000 + seed)
     f = random_scalable_frame(rng, int(rng.integers(2, 5)), 8)
     t_star, _ = fs.separator_search(fs.f_image(f))

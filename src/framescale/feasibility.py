@@ -14,11 +14,15 @@ so an x away from the origin is the separator, and an x at the origin
 with nonnegative, unique affine weights is the whole weight polytope.
 This is why frames of small redundancy are scalable only on a nowhere
 dense set: k <= d generic columns have an affine hull that misses the
-origin.  Otherwise Wolfe's minimum-norm-point algorithm (Math. Prog. 11,
-1976) runs on the columns.  A point x of their hull with
-min_k <x, F(phi_k)> > 0 is the separator, and no LP runs.  When x reaches
-the origin, Wolfe's corral of d + 1 columns is a feasible basis of the
-program, and phase 2 runs from there to the optimum s*.  Otherwise the
+origin.  More than d + 1 columns first try the point u of least norm of
+{F u = 0, sum u = 1}: when u > 0, the constructive step of Caratheodory's
+theorem moves it along the kernel onto d + 1 columns, a feasible basis of
+the program, and phase 2 runs from there to the optimum s*.  Otherwise
+Wolfe's minimum-norm-point algorithm (Math. Prog. 11, 1976) runs on the
+columns.  A point x of their hull with min_k <x, F(phi_k)> > 0 is the
+separator, and no LP runs.  When x reaches the origin, Wolfe's corral of
+d + 1 columns is a feasible basis too, and phase 2 runs from it.  Either
+basis only sets where phase 2 starts, not s*.  Otherwise the
 program runs as a two-phase simplex: its phase 1 is phase 1 on the weight
 polytope {F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the
 Farkas duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is
@@ -49,7 +53,8 @@ from .errors import (DimensionTooSmall, Infeasible, LPNumericalFailure,
                      NotStrictlyScalable, TooLarge, ZeroColumn)
 from .fmap import FImage, f_image, f_vector
 from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
-                     _frozen, make_weights, numerical_rank)
+                     _frozen, _rank_of_singular_values, make_weights,
+                     numerical_rank)
 
 DEFAULT_BOUNDARY_BAND = 1e-9
 DEFAULT_STRICT_THRESHOLD = 1e-10
@@ -332,19 +337,69 @@ def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
         x = g[:, corral] @ lam
 
 
-def _wolfe_basis(a: np.ndarray, b: np.ndarray, w: Wolfe):
-    """The max-min-weight program A x = b in canonical form on Wolfe's
-    corral at the origin, B^-1 (A, b) with the identity on the corral's
-    columns, and None; or (A, b) unchanged and the reason the corral is
-    no feasible basis.  One inverse of the corral basis B gives its
-    condition number (in the 1-norm), its feasibility and the canonical
-    form."""
+def _least_norm_corral(g: np.ndarray) -> list | None:
+    """d + 1 of the float columns g whose basis carries a point of the
+    weight polytope, each with weight above ``WOLFE_POS_TOL``; or None.
+
+    The candidate point is u, the least-norm solution of [g; 1'] u = e,
+    e = (0, ..., 0, 1).  It is P 1 / 1'P 1, where P 1 = 1 - g'(g g')^-1 g 1
+    projects the ones vector onto the kernel of g, so one d x d solve
+    gives it.  When u > 0 it lies in the weight polytope, and the
+    constructive step of Caratheodory's theorem pushes it onto d + 1
+    columns: along each direction of the kernel of [g; 1'] in turn, u
+    moves until a weight reaches zero, that column leaves, and the
+    directions still to come are cleared on it.  None when u is not
+    positive (on every frame that is not scalable, and on many that are),
+    when [g; 1'] has rank below d + 1 (by the threshold of
+    ``numerical_rank``), or when a weight of the basis ends at most
+    ``WOLFE_POS_TOL``.
+    """
+    d, k = g.shape
+    try:
+        w = 1.0 - g.T @ np.linalg.solve(g @ g.T, g.sum(axis=1))
+    except np.linalg.LinAlgError:
+        return None
+    if np.min(w) <= WOLFE_POS_TOL * np.sum(w):
+        return None
+    u = w / np.sum(w)
+    scale = np.max(np.einsum("ij,ij->j", g, g))
+    if scale == 0.0:  # d = 0: every column is the origin of R^0
+        return None
+    a = np.vstack([g / np.sqrt(scale), np.ones(k)])
+    # a' = Q R: R has the singular values of a, and the last k - d - 1
+    # columns of Q span its kernel when the rank is d + 1.
+    q, tri = np.linalg.qr(a.T, mode="complete")
+    sv = np.linalg.svd(tri[:d + 1], compute_uv=False)
+    if _rank_of_singular_values(sv, a.shape) != d + 1:
+        return None
+    z = q[:, d + 1:].T
+    keep = np.ones(k, dtype=bool)
+    for r, zr in enumerate(z):
+        fall = np.flatnonzero(zr < 0.0)
+        if fall.size == 0:
+            return None
+        i = fall[np.argmin(u[fall] / -zr[fall])]
+        u += (u[i] / -zr[i]) * zr
+        u[i], keep[i] = 0.0, False
+        z[r + 1:] -= np.outer(z[r + 1:, i] / zr[i], zr)
+        z[r + 1:, i] = 0.0
+    if np.min(u[keep]) <= WOLFE_POS_TOL:
+        return None
+    return np.flatnonzero(keep).tolist()
+
+
+def _wolfe_basis(a: np.ndarray, b: np.ndarray, corral: list):
+    """The max-min-weight program A x = b in canonical form on a corral of
+    columns that carries a point of the weight polytope, B^-1 (A, b) with
+    the identity on the corral's columns, and None; or (A, b) unchanged
+    and the reason the corral is no feasible basis.  The corral is Wolfe's
+    at the origin or the least-norm one (``_least_norm_corral``).  One
+    inverse of the corral basis B gives its condition number (in the
+    1-norm), its feasibility and the canonical form."""
     d = a.shape[0] - 1
-    if w.stop != "zero":
-        return a, b, f"Wolfe {w.stop}"
-    if len(w.corral) < d + 1:
-        return a, b, f"corral of {len(w.corral)} < d + 1 = {d + 1} columns"
-    basis = a[:, w.corral]
+    if len(corral) < d + 1:
+        return a, b, f"corral of {len(corral)} < d + 1 = {d + 1} columns"
+    basis = a[:, corral]
     try:
         binv = np.linalg.inv(basis)
     except np.linalg.LinAlgError:
@@ -354,8 +409,19 @@ def _wolfe_basis(a: np.ndarray, b: np.ndarray, w: Wolfe):
     t = binv @ np.column_stack([a, b])
     if np.min(t[:, -1]) < -simplex.DEFAULT_FEAS_TOL:
         return a, b, "infeasible corral basis"
-    t[:, w.corral] = np.eye(d + 1)
+    t[:, corral] = np.eye(d + 1)
     return t[:, :-1], np.maximum(t[:, -1], 0.0), None
+
+
+def _program(g: np.ndarray):
+    """(A, b, c) of the max-min-weight program on the columns g: the weight
+    polytope with the column of s, the sum of the v columns, appended."""
+    k = g.shape[1]
+    a, b = weight_polytope(g)
+    a = np.column_stack([a, np.append(g.sum(axis=1), k)])
+    c = np.zeros(k + 1, dtype=g.dtype)
+    c[k] = -1
+    return a, b, c
 
 
 def _max_min_weight(g: np.ndarray) -> WeightProgram:
@@ -366,46 +432,60 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     Over float columns, k <= d of them go to the nearest point of their
     affine hull first (``_affine_hull``): a separator there is returned as
     h, and unique nonnegative affine weights as u with s* = min u, with no
-    LP.  When that point decides nothing, and for k > d, Wolfe's algorithm
-    runs.  A separating point is returned as h, with no LP; a corral at
-    the origin that is a feasible basis starts phase 2.  Otherwise, and
-    always over
-    ``Fraction`` columns, the two-phase simplex runs, and an empty weight
-    polytope gives the separator h from the Farkas duals.  A scalable
-    result carries u, the last basic point, and s*, ``None`` when phase 2
-    stopped short of its optimum.  ``route`` names the way taken, Wolfe's
-    cycles and refreshes of K^-1, and the simplex pivots.  k = d + 1
-    columns stay on Wolfe's path: their affine hull is all of R^d, and the
-    corral basis with phase 2 gives s*.  The s column is
-    the sum of the v columns, so in exact arithmetic Bland's rule lets it
-    enter only once the v columns are done: phase 1 pivots as it would on
-    the weight polytope alone.
+    LP.  k > d + 1 of them first try a positive least-norm point of
+    {g u = 0, sum u = 1} reduced to d + 1 columns (``_least_norm_corral``),
+    which starts phase 2 when its basis is feasible, with no Wolfe cycle.
+    Every other float case runs Wolfe's algorithm, k = d + 1 columns
+    included: their affine hull is all of R^d.  A separating point is
+    returned as h, with no LP; a corral at the origin that is a feasible
+    basis starts phase 2.  Either corral only picks where phase 2 starts,
+    so s* is the same LP optimum.  Otherwise, and always over ``Fraction``
+    columns, the two-phase simplex runs, and an empty weight polytope gives
+    the separator h from the Farkas duals.  A scalable result carries u,
+    the last basic point, and s*, ``None`` when phase 2 stopped short of
+    its optimum.  ``route`` names the way taken, Wolfe's cycles and
+    refreshes of K^-1, and the simplex pivots.  The s column is the sum of
+    the v columns, so in exact arithmetic Bland's rule lets it enter only
+    once the v columns are done: phase 1 pivots as it would on the weight
+    polytope alone.
     """
     d, k = g.shape
-    float_columns = g.dtype != object
-    if float_columns:
-        if k <= d:
-            prog = _affine_hull(g)
-            if prog is not None:
-                return prog
-        w = _wolfe(g)
-        cycles = f"{w.major} major and {w.minor} minor Wolfe cycles"
-        if w.refreshes:
-            cycles += f" ({w.refreshes} fresh K^-1)"
-        if w.stop == "separator":
-            return WeightProgram(None, None, w.x,
-                                 f"Wolfe separator after {cycles}")
-    a, b = weight_polytope(g)
-    a = np.column_stack([a, np.append(g.sum(axis=1), k)])
-    c = np.zeros(k + 1, dtype=g.dtype)
-    c[k] = -1
-    basis, route = None, "two-phase, exact"
-    if float_columns:
-        a, b, why = _wolfe_basis(a, b, w)
-        basis = w.corral if why is None else None
-        route = (f"Wolfe basis and phase 2 after {cycles}" if why is None
-                 else f"two-phase fallback ({why}) after {cycles}")
-    solve = simplex.solve_lp if float_columns else simplex.solve_lp_exact
+    if g.dtype == object:
+        return _solve_program(*_program(g), None, "two-phase, exact")
+    if k <= d:
+        prog = _affine_hull(g)
+        if prog is not None:
+            return prog
+    corral = _least_norm_corral(g) if k > d + 1 else None
+    if corral is not None:
+        a, b, c = _program(g)
+        a, b, why = _wolfe_basis(a, b, corral)
+        if why is None:
+            return _solve_program(a, b, c, corral,
+                                  "least-norm basis and phase 2")
+    w = _wolfe(g)
+    cycles = f"{w.major} major and {w.minor} minor Wolfe cycles"
+    if w.refreshes:
+        cycles += f" ({w.refreshes} fresh K^-1)"
+    if w.stop == "separator":
+        return WeightProgram(None, None, w.x, f"Wolfe separator after {cycles}")
+    a, b, c = _program(g)
+    why = f"Wolfe {w.stop}"
+    if w.stop == "zero":
+        a, b, why = _wolfe_basis(a, b, w.corral)
+    if why is None:
+        return _solve_program(a, b, c, w.corral,
+                              f"Wolfe basis and phase 2 after {cycles}")
+    return _solve_program(a, b, c, None,
+                          f"two-phase fallback ({why}) after {cycles}")
+
+
+def _solve_program(a, b, c, basis, route: str) -> WeightProgram:
+    """Run the max-min-weight program (A, b, c) of ``_program`` from the
+    feasible ``basis`` (phase 2 only) or from none (both phases), over the
+    number type of A, and add the pivots to ``route``."""
+    d, k = a.shape[0] - 1, a.shape[1] - 1
+    solve = simplex.solve_lp if a.dtype != object else simplex.solve_lp_exact
     res = solve(a, b, c, initial_basis=basis)
     route += (f"; {'phase 2' if basis else 'both phases'}: {res.pivots} "
               f"pivots, {res.guarded} under Bland's guard")
@@ -533,19 +613,23 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
 
     Zero columns are carried with weight zero: they never affect the
     verdict and can never be separated.  Non-spanning subsets come back
-    non-scalable with ``spans`` False.  In float mode a subset of at most
-    d active columns is first decided by the nearest point of its affine
-    hull; then Wolfe's minimum-norm-point algorithm either returns the
-    separator or starts phase 2 of the max-min-weight program; the
-    two-phase LP of mode ``"exact"`` is the fallback.  Only the active
-    columns are transformed.  A float separator
-    whose re-verified margin is at most ``band``, and a float certificate
-    that fails its re-check, are re-decided through the exact LP when the
-    subset has at most ``EXACT_CAP`` active columns; the verdict then
-    carries ``boundary_flag``.  Above the cap a band separator is only
-    flagged, and a failed re-check raises.  Each returned verdict logs one
-    DEBUG record naming the route taken, Wolfe's cycle counts and the
-    simplex pivots.
+    non-scalable with ``spans`` False; a float decide on every column
+    spans without a rank computation, because ``build_frame`` refuses
+    frames that do not.  In float mode a subset of at most d active
+    columns is first decided by the nearest point of its affine hull; more
+    than d + 1 columns whose least-norm weights are positive start phase 2
+    of the max-min-weight program from d + 1 of them, with no Wolfe cycle;
+    otherwise Wolfe's minimum-norm-point algorithm either returns the
+    separator or starts phase 2; the two-phase LP of mode ``"exact"`` is
+    the fallback.  Only the active columns are transformed.  A float
+    separator whose re-verified margin is at most ``band``, and a float
+    certificate that fails its re-check, are re-decided through the exact
+    LP when the subset has at most ``EXACT_CAP`` active columns; the
+    verdict then carries ``boundary_flag``.  Above the cap a band separator
+    is only flagged, and a failed re-check raises.  Each returned verdict
+    logs one DEBUG record naming the route taken ("least-norm basis",
+    Wolfe's separator or basis, or a two-phase fallback), Wolfe's cycle
+    counts and the simplex pivots.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -576,7 +660,9 @@ def _decide_float(frame: Frame, subset, band, tol_tight, rational):
         v = _decide_columns(
             prog, g, subset, active,
             lambda u: _verified_weights(frame, g, active, u, tol_tight),
-            lambda: numerical_rank(frame.matrix[:, list(subset)]) == frame.n)
+            # build_frame refuses frames of rank < n: all columns span.
+            lambda: len(subset) == frame.m
+            or numerical_rank(frame.matrix[:, list(subset)]) == frame.n)
     except Infeasible:  # the weights failed their re-check
         if can_escalate:
             return escalate("weights failed their re-check")

@@ -28,10 +28,16 @@ def numerical_rank(a: np.ndarray) -> int:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    return _rank_of_singular_values(np.linalg.svd(a, compute_uv=False),
+                                    a.shape)
+
+
+def _rank_of_singular_values(s: np.ndarray, shape) -> int:
+    """The numerical rank of a matrix of ``shape`` from its singular values
+    ``s`` in descending order, with the threshold of ``numerical_rank``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    cutoff = s[0] * max(a.shape) * np.finfo(float).eps * RANK_SLACK
+    cutoff = s[0] * max(shape) * np.finfo(float).eps * RANK_SLACK
     return int(np.count_nonzero(s > cutoff))
 
 

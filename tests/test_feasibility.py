@@ -192,6 +192,23 @@ def test_decide_non_spanning_subset_reported(onb2):
     assert isinstance(v.certificate, Separator)
 
 
+def test_full_frame_spans_without_a_rank(monkeypatch):
+    # build_frame refuses rank < n, so every column together spans.
+    f = fs.random_frame(10, 60, seed=0)
+    monkeypatch.setattr(feasibility, "numerical_rank", _must_not_run)
+    v = fs.decide(f)
+    assert not v.scalable and v.spans
+    assert fs.decide(f, subset=range(f.m)).spans
+
+
+def test_proper_subsets_still_read_their_rank(onb_plus):
+    v = fs.decide(onb_plus, subset=(0, 2))
+    assert not v.scalable and v.spans
+    f = fs.build_frame(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    v = fs.decide(f, subset=(0, 1, 2))
+    assert not v.spans
+
+
 def test_decide_zero_columns_carried_with_zero_weight():
     f = fs.build_frame(2, [(1, 0), (0, 1), (0, 0)])
     v = fs.decide(f)
@@ -360,6 +377,9 @@ def test_non_scalable_float_decide_runs_no_lp(seed, monkeypatch):
 def test_wolfe_started_phase_2_keeps_the_two_phase_optimum(
         seed, monkeypatch, caplog):
     f = random_scalable_frame(np.random.default_rng(seed), 10, 60)
+    # These frames take the least-norm basis; declining it puts them on
+    # Wolfe's corral.
+    monkeypatch.setattr(feasibility, "_least_norm_corral", lambda g: None)
     with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
         v = fs.decide(f)
     assert "Wolfe basis and phase 2" in caplog.text
@@ -551,7 +571,7 @@ def test_wolfe_basis_puts_the_program_in_canonical_form(mercedes):
     g = fs.f_image(mercedes).matrix
     a, b = feasibility.weight_polytope(g)
     w = feasibility._wolfe(g)
-    t, e, why = feasibility._wolfe_basis(a, b, w)
+    t, e, why = feasibility._wolfe_basis(a, b, w.corral)
     assert why is None
     # B^-1 (A, b) with B = A on the corral: the uniform weights, which
     # solve A u = b, solve t u = e too.
@@ -566,6 +586,135 @@ def _route_of(frame, caplog, **kwargs):
         v = fs.decide(frame, **kwargs)
     [record] = caplog.records
     return v, record.getMessage()
+
+
+# --- least-norm route ---------------------------------------------------------
+
+def _frame_10x60(kind, seed):
+    if kind == "scalable":
+        return random_scalable_frame(np.random.default_rng(seed), 10, 60)
+    return fs.random_frame(10, 60, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["scalable", "random"])
+@pytest.mark.parametrize("seed", range(5))
+def test_least_norm_basis_keeps_wolfes_verdict(kind, seed, monkeypatch):
+    f = _frame_10x60(kind, seed)
+    v = fs.decide(f)
+    monkeypatch.setattr(feasibility, "_least_norm_corral", lambda g: None)
+    w = fs.decide(f)
+    assert (v.scalable, v.strict, v.support_size) == \
+        (w.scalable, w.strict, w.support_size)
+    assert v.scalable == (kind == "scalable")
+    if v.scalable:
+        assert v.s_star == pytest.approx(w.s_star, rel=1e-9)
+        assert v.certificate.verify(f)
+
+
+def _least_norm_weights(f):
+    """The point of least norm of {F u = 0, sum u = 1}."""
+    a = np.vstack([fs.f_image(f).matrix, np.ones(f.m)])
+    return np.linalg.lstsq(a, np.eye(len(a))[-1], rcond=None)[0]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_scalable_10x60_frames_skip_wolfe(seed, monkeypatch, caplog):
+    f = _frame_10x60("scalable", seed)
+    positive = np.min(_least_norm_weights(f)) > 0.0
+    assert positive == (seed not in (2, 4))
+    if positive:
+        monkeypatch.setattr(feasibility, "_wolfe", _must_not_run)
+    v, route = _route_of(f, caplog)
+    if positive:
+        assert re.search(r"on 60 columns: least-norm basis and phase 2; "
+                         r"phase 2: \d+ pivots", route)
+    else:
+        assert "Wolfe basis and phase 2" in route
+    assert v.strict
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_10x60_frames_decline_the_least_norm_basis(seed, caplog):
+    f = _frame_10x60("random", seed)
+    assert feasibility._least_norm_corral(fs.f_image(f).matrix) is None
+    v, route = _route_of(f, caplog)
+    assert "Wolfe separator" in route and not v.scalable
+
+
+def _zero_in_coordinate_0_or_1():
+    # Every column has phi(0) phi(1) = 0, so that row of [F; 1'] is zero.
+    rng = np.random.default_rng(0)
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for i in range(6):
+        v = rng.standard_normal(3)
+        v[i % 2] = 0.0
+        cols.append(v)
+    return fs.build_frame(3, cols)
+
+
+@pytest.mark.parametrize("rotate", [False, True])
+def test_rank_deficient_columns_decline_the_least_norm_basis(rotate, caplog):
+    # The zero row makes the normal equations singular.  A rotation mixes
+    # it into the others: the normal equations solve, and the least-norm
+    # weights are positive, but [F; 1'] still has rank d.  The exact
+    # verdict is the unrotated frame's: rotations keep scalability.
+    f = base = _zero_in_coordinate_0_or_1()
+    if rotate:
+        f = fs.apply_orthogonal(base, random_orthogonal(
+            np.random.default_rng(0), 3))
+    g = fs.f_image(f).matrix
+    assert fs.numerical_rank(np.vstack([g, np.ones(f.m)])) == fs.target_dim(3)
+    assert feasibility._least_norm_corral(g) is None
+    if rotate:
+        assert np.min(_least_norm_weights(f)) > 0.0
+    v, route = _route_of(f, caplog)
+    assert "Wolfe" in route and "least-norm" not in route
+    e = fs.decide(base, mode="exact")
+    assert (v.scalable, v.strict) == (e.scalable, e.strict) == (True, True)
+
+
+def _onb_and_gaussians(seed):
+    """An orthonormal basis of R^3 and four Gaussian vectors: scalable."""
+    rng = np.random.default_rng(seed)
+    return fs.build_frame(3, np.vstack([np.eye(3),
+                                        rng.standard_normal((4, 3))]))
+
+
+def test_negative_least_norm_weights_decline(caplog):
+    # Not strictly scalable, and the least-norm weights have a negative
+    # entry.
+    f = _onb_and_gaussians(0)
+    assert np.min(_least_norm_weights(f)) < 0.0
+    assert feasibility._least_norm_corral(fs.f_image(f).matrix) is None
+    v, route = _route_of(f, caplog)
+    assert "Wolfe" in route and "least-norm" not in route
+    e = fs.decide(f, mode="exact")
+    assert (v.scalable, v.strict) == (e.scalable, e.strict) == (True, False)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_least_norm_basis_agrees_with_exact_on_small_frames(seed, caplog):
+    f = _onb_and_gaussians(seed)
+    v, route = _route_of(f, caplog)
+    assert "least-norm basis and phase 2" in route
+    e = fs.decide(f, mode="exact")
+    assert (v.scalable, v.strict) == (e.scalable, e.strict) == (True, True)
+    assert v.s_star == pytest.approx(float(e.s_star), rel=1e-9)
+
+
+def test_refused_least_norm_basis_falls_back_to_wolfe(monkeypatch, caplog):
+    # Columns 0-2 keep the origin out of their triangle (see the infeasible
+    # corral test above), so their basis is infeasible; the frame is
+    # scalable, and Wolfe's corral starts phase 2.
+    f = _at_angles(10, 20, 30, 70, 130)
+    monkeypatch.setattr(feasibility, "_least_norm_corral",
+                        lambda g: [0, 1, 2])
+    a, b, _ = feasibility._program(fs.f_image(f).matrix)
+    assert feasibility._wolfe_basis(a, b, [0, 1, 2])[2] == \
+        "infeasible corral basis"
+    v, route = _route_of(f, caplog)
+    assert "Wolfe basis and phase 2" in route and "both phases" not in route
+    assert v.scalable and v.strict and v.certificate.verify(f)
 
 
 # --- affine-hull route --------------------------------------------------------

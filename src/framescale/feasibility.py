@@ -8,15 +8,17 @@ max-min-weight program
 
     maximize s  subject to  F u = 0,  sum u = 1,  u = v + s 1,  v, s >= 0.
 
-In float mode, k <= d columns are first read off the point x of their
-affine hull nearest the origin: x has <x, F(phi_k)> = |x|^2 for every k,
-so an x away from the origin is the separator, and an x at the origin
-with nonnegative, unique affine weights is the whole weight polytope.
-This is why frames of small redundancy are scalable only on a nowhere
-dense set: k <= d generic columns have an affine hull that misses the
-origin.  More than d + 1 columns first try the point u of least norm of
-{F u = 0, sum u = 1}: when u > 0, the constructive step of Caratheodory's
-theorem moves it along the kernel onto d + 1 columns, a feasible basis of
+In float mode, the columns are first read off their least-norm weights
+mu: the affine weights of the point x = F mu of their affine hull nearest
+the origin, the least-norm point of {F u = 0, sum u = 1} when x is the
+origin.  x has <x, F(phi_k)> = |x|^2 for every k, so an x away from the
+origin is the separator.  This is why frames of small redundancy are
+scalable only on a nowhere dense set: k <= d generic columns have an
+affine hull that misses the origin.  For k <= d + 1 affinely independent
+columns at the origin, mu is the only point of {F u = 0, sum u = 1}, and
+when mu >= 0 the weight polytope is {mu}, with no LP.  For more than
+d + 1 columns with mu > 0, the constructive step of Caratheodory's
+theorem moves mu along the kernel onto d + 1 columns, a feasible basis of
 the program, and phase 2 runs from there to the optimum s*.  Otherwise
 Wolfe's minimum-norm-point algorithm (Math. Prog. 11, 1976) runs on the
 columns.  A point x of their hull with min_k <x, F(phi_k)> > 0 is the
@@ -102,19 +104,21 @@ class Verdict:
     """Outcome of ``decide``.
 
     ``t_star`` is the re-verified margin of the separator on non-scalable
-    verdicts and 0.0 on scalable ones.  A float separator is the nearest
-    point x of the affine hull of k <= d columns, with margin
-    |x|^2 / |x|_inf; or Wolfe's point, taken once its margin at
-    |h|_inf = 1 clears ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm
-    point; or the Farkas one when the two-phase fallback runs.  So t* is
-    a certified margin but not the best one: ``separator_search`` gives
-    the separator of largest margin at |h|_2 = 1, with its margin
-    reported at |h|_inf = 1.  ``exact_oracle``'s t* is the margin of the
-    Farkas separator of its rational program.  ``s_star`` is the optimum
-    of the max-min-weight program on scalable verdicts, whichever basis
-    phase 2 started from; ``None`` there means that phase 2 did not reach
-    its optimum, so strictness was not determined (``strict`` is False
-    then and the weights are its last, verified point).
+    verdicts and 0.0 on scalable ones.  A float separator is the point
+    x = F mu of the least-norm weights mu of k <= d columns, the point of
+    their affine hull nearest the origin, with margin |x|^2 / |x|_inf; or
+    Wolfe's point, taken once its margin at |h|_inf = 1 clears
+    ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm point; or the Farkas
+    one when the two-phase fallback runs.  So t* is a certified margin but
+    not the best one: ``separator_search`` gives the separator of largest
+    margin at |h|_2 = 1, with its margin reported at |h|_inf = 1.
+    ``exact_oracle``'s t* is the margin of the Farkas separator of its
+    rational program.  ``s_star`` is the optimum of the max-min-weight
+    program on scalable verdicts, whichever basis phase 2 started from, or
+    min mu when the least-norm weights mu are the whole weight polytope;
+    ``None`` there means that phase 2 did not reach its optimum, so
+    strictness was not determined (``strict`` is False then and the
+    weights are its last, verified point).
     """
 
     scalable: bool
@@ -189,41 +193,6 @@ def _affine_weights(rs: np.ndarray, kinv: np.ndarray):
     held = np.max(np.abs(r)) <= WOLFE_UPDATE_TOL * np.sum(np.abs(y))
     y += kinv @ r
     return y / y.sum(), held
-
-
-def _affine_hull(g: np.ndarray) -> WeightProgram | None:
-    """The max-min-weight program on float columns g read off the point x
-    of their affine hull nearest the origin, or None when x decides
-    nothing.
-
-    x is orthogonal to every difference of columns, so <x, g_k> = |x|^2
-    for every k, whatever the signs of its affine weights mu: an x away
-    from the origin separates all the columns at once.  At the origin,
-    with the columns (g_k, 1) linearly independent, mu is the only point
-    of {g u = 0, sum u = 1}; when mu >= 0 the weight polytope is {mu}, and
-    s* = min mu.  None when K is past ``WOLFE_MAX_COND`` (affinely
-    dependent columns), when x misses the band, or when the origin lies
-    in the affine hull outside the convex hull.
-    """
-    norms = np.einsum("ij,ij->j", g, g)
-    scale = np.max(norms)
-    if scale == 0.0:  # every column underflowed to the origin
-        return None
-    rs = g.T / np.sqrt(scale)
-    kinv, cond = _shifted_gram_inverse(rs)
-    if cond > WOLFE_MAX_COND:
-        return None
-    mu = _affine_weights(rs, kinv)[0]
-    x = g @ mu
-    if x @ x > WOLFE_ZERO_TOL * scale:
-        if np.min(x @ g) > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x)):
-            return WeightProgram(None, None, x, "affine-hull separator")
-        return None
-    if np.min(mu) < -WOLFE_POS_TOL:
-        return None
-    u = np.maximum(mu, 0.0)
-    u /= u.sum()
-    return WeightProgram(u, np.min(u), None, "affine-hull weights")
 
 
 def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
@@ -337,34 +306,69 @@ def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
         x = g[:, corral] @ lam
 
 
-def _least_norm_corral(g: np.ndarray) -> list | None:
-    """d + 1 of the float columns g whose basis carries a point of the
-    weight polytope, each with weight above ``WOLFE_POS_TOL``; or None.
+def _least_norm(g: np.ndarray) -> WeightProgram | None:
+    """The max-min-weight program on float columns g read off their
+    least-norm weights mu, or None when mu decides nothing.
 
-    The candidate point is u, the least-norm solution of [g; 1'] u = e,
-    e = (0, ..., 0, 1).  It is P 1 / 1'P 1, where P 1 = 1 - g'(g g')^-1 g 1
-    projects the ones vector onto the kernel of g, so one d x d solve
-    gives it.  When u > 0 it lies in the weight polytope, and the
-    constructive step of Caratheodory's theorem pushes it onto d + 1
-    columns: along each direction of the kernel of [g; 1'] in turn, u
-    moves until a weight reaches zero, that column leaves, and the
-    directions still to come are cleared on it.  None when u is not
-    positive (on every frame that is not scalable, and on many that are),
-    when [g; 1'] has rank below d + 1 (by the threshold of
-    ``numerical_rank``), or when a weight of the basis ends at most
-    ``WOLFE_POS_TOL``.
+    mu are the affine weights of the point x = g mu of the columns' affine
+    hull nearest the origin, the least-norm point of {g u = 0, sum u = 1}
+    when x is the origin.  x is orthogonal to every difference of columns,
+    so <x, g_k> = |x|^2 for every k: an x away from the origin, possible
+    only for k <= d columns, is the separator when its margin clears
+    ``DEFAULT_BOUNDARY_BAND``.
+
+    For k <= d + 1 columns, mu = K^-1 1 / 1'K^-1 1 with K = g'g / c + 1 1'
+    (``_affine_weights``), and K past ``WOLFE_MAX_COND`` (affinely
+    dependent columns) declines.  At the origin, mu is then the only point
+    of {g u = 0, sum u = 1}; k = d + 1 columns solve for it from the square
+    [g; 1'] mu = e, whose condition number is the square root of K's.  When
+    mu >= 0 the weight polytope is {mu}: weights up to ``WOLFE_POS_TOL``
+    become zero, as Wolfe drops them from his corral, and s* = min mu, with
+    no LP.  A negative weight declines.
+
+    For k > d + 1 columns, mu = P 1 / 1'P 1, where P 1 = 1 - g'(g g')^-1 g 1
+    projects the ones vector onto the kernel of g: one d x d solve, and a
+    weight of mu at most ``WOLFE_POS_TOL`` declines at once (on every frame
+    that is not scalable, and on many that are).  A positive mu lies in the
+    weight polytope, and the constructive step of Caratheodory's theorem
+    pushes it onto d + 1 columns: along each direction of the kernel of
+    [g; 1'] in turn, mu moves until a weight reaches zero, that column
+    leaves, and the directions still to come are cleared on it.  Phase 2
+    starts from the basis of those columns.  None when [g; 1'] has rank
+    below d + 1 (by the threshold of ``numerical_rank``), when a weight of
+    the basis ends at most ``WOLFE_POS_TOL``, or when ``_wolfe_basis``
+    refuses the basis.
     """
     d, k = g.shape
-    try:
-        w = 1.0 - g.T @ np.linalg.solve(g @ g.T, g.sum(axis=1))
-    except np.linalg.LinAlgError:
-        return None
-    if np.min(w) <= WOLFE_POS_TOL * np.sum(w):
-        return None
-    u = w / np.sum(w)
+    if k > d + 1:
+        try:
+            w = 1.0 - g.T @ np.linalg.solve(g @ g.T, g.sum(axis=1))
+        except np.linalg.LinAlgError:
+            return None
+        if np.min(w) <= WOLFE_POS_TOL * np.sum(w):
+            return None
     scale = np.max(np.einsum("ij,ij->j", g, g))
-    if scale == 0.0:  # d = 0: every column is the origin of R^0
+    if scale == 0.0:  # d = 0, or every column underflowed to the origin
         return None
+    if k <= d + 1:
+        rs = g.T / np.sqrt(scale)
+        kinv, cond = _shifted_gram_inverse(rs)
+        if cond > WOLFE_MAX_COND:
+            return None
+        mu = _affine_weights(rs, kinv)[0]
+        x = g @ mu
+        if x @ x > WOLFE_ZERO_TOL * scale:
+            if np.min(x @ g) > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x)):
+                return WeightProgram(None, None, x, "least-norm separator")
+            return None
+        if k == d + 1:  # [g; 1'] is square: solve it at its own condition
+            mu = np.linalg.solve(np.vstack([rs.T, np.ones(k)]), np.eye(k)[-1])
+        if np.min(mu) < -WOLFE_POS_TOL:
+            return None
+        u = np.where(mu > WOLFE_POS_TOL, mu, 0.0)
+        u /= u.sum()
+        return WeightProgram(u, np.min(u), None, "least-norm weights")
+    u = w / np.sum(w)
     a = np.vstack([g / np.sqrt(scale), np.ones(k)])
     # a' = Q R: R has the singular values of a, and the last k - d - 1
     # columns of Q span its kernel when the rank is d + 1.
@@ -385,7 +389,12 @@ def _least_norm_corral(g: np.ndarray) -> list | None:
         z[r + 1:, i] = 0.0
     if np.min(u[keep]) <= WOLFE_POS_TOL:
         return None
-    return np.flatnonzero(keep).tolist()
+    corral = np.flatnonzero(keep).tolist()
+    a, b, c = _program(g)
+    a, b, why = _wolfe_basis(a, b, corral)
+    if why is not None:
+        return None
+    return _solve_program(a, b, c, corral, "least-norm basis and phase 2")
 
 
 def _wolfe_basis(a: np.ndarray, b: np.ndarray, corral: list):
@@ -393,7 +402,7 @@ def _wolfe_basis(a: np.ndarray, b: np.ndarray, corral: list):
     columns that carries a point of the weight polytope, B^-1 (A, b) with
     the identity on the corral's columns, and None; or (A, b) unchanged
     and the reason the corral is no feasible basis.  The corral is Wolfe's
-    at the origin or the least-norm one (``_least_norm_corral``).  One
+    at the origin or the least-norm one (``_least_norm``).  One
     inverse of the corral basis B gives its condition number (in the
     1-norm), its feasibility and the canonical form."""
     d = a.shape[0] - 1
@@ -429,40 +438,28 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
 
         maximize s  subject to  g u = 0,  sum u = 1.
 
-    Over float columns, k <= d of them go to the nearest point of their
-    affine hull first (``_affine_hull``): a separator there is returned as
-    h, and unique nonnegative affine weights as u with s* = min u, with no
-    LP.  k > d + 1 of them first try a positive least-norm point of
-    {g u = 0, sum u = 1} reduced to d + 1 columns (``_least_norm_corral``),
-    which starts phase 2 when its basis is feasible, with no Wolfe cycle.
-    Every other float case runs Wolfe's algorithm, k = d + 1 columns
-    included: their affine hull is all of R^d.  A separating point is
-    returned as h, with no LP; a corral at the origin that is a feasible
-    basis starts phase 2.  Either corral only picks where phase 2 starts,
-    so s* is the same LP optimum.  Otherwise, and always over ``Fraction``
-    columns, the two-phase simplex runs, and an empty weight polytope gives
-    the separator h from the Farkas duals.  A scalable result carries u,
-    the last basic point, and s*, ``None`` when phase 2 stopped short of
-    its optimum.  ``route`` names the way taken, Wolfe's cycles and
-    refreshes of K^-1, and the simplex pivots.  The s column is the sum of
-    the v columns, so in exact arithmetic Bland's rule lets it enter only
-    once the v columns are done: phase 1 pivots as it would on the weight
-    polytope alone.
+    Over float columns, the least-norm weights come first (``_least_norm``):
+    a separator there is returned as h, unique nonnegative weights of
+    k <= d + 1 columns as u with s* = min u and no LP, and positive ones of
+    more columns, reduced to d + 1 columns, start phase 2 with no Wolfe
+    cycle.  When they decide nothing, Wolfe's algorithm runs.  A separating
+    point is returned as h, with no LP; a corral at the origin that is a
+    feasible basis starts phase 2.  Either basis only picks where phase 2
+    starts, so s* is the same LP optimum.  Otherwise, and always over
+    ``Fraction`` columns, the two-phase simplex runs, and an empty weight
+    polytope gives the separator h from the Farkas duals.  A scalable
+    result carries u, the last basic point, and s*, ``None`` when phase 2
+    stopped short of its optimum.  ``route`` names the way taken, Wolfe's
+    cycles and refreshes of K^-1, and the simplex pivots.  The s column is
+    the sum of the v columns, so in exact arithmetic Bland's rule lets it
+    enter only once the v columns are done: phase 1 pivots as it would on
+    the weight polytope alone.
     """
-    d, k = g.shape
     if g.dtype == object:
         return _solve_program(*_program(g), None, "two-phase, exact")
-    if k <= d:
-        prog = _affine_hull(g)
-        if prog is not None:
-            return prog
-    corral = _least_norm_corral(g) if k > d + 1 else None
-    if corral is not None:
-        a, b, c = _program(g)
-        a, b, why = _wolfe_basis(a, b, corral)
-        if why is None:
-            return _solve_program(a, b, c, corral,
-                                  "least-norm basis and phase 2")
+    prog = _least_norm(g)
+    if prog is not None:
+        return prog
     w = _wolfe(g)
     cycles = f"{w.major} major and {w.minor} minor Wolfe cycles"
     if w.refreshes:
@@ -615,21 +612,22 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     verdict and can never be separated.  Non-spanning subsets come back
     non-scalable with ``spans`` False; a float decide on every column
     spans without a rank computation, because ``build_frame`` refuses
-    frames that do not.  In float mode a subset of at most d active
-    columns is first decided by the nearest point of its affine hull; more
-    than d + 1 columns whose least-norm weights are positive start phase 2
-    of the max-min-weight program from d + 1 of them, with no Wolfe cycle;
-    otherwise Wolfe's minimum-norm-point algorithm either returns the
-    separator or starts phase 2; the two-phase LP of mode ``"exact"`` is
-    the fallback.  Only the active columns are transformed.  A float
+    frames that do not.  In float mode the least-norm weights of the active
+    columns come first: they give the separator of at most d columns, the
+    weights of at most d + 1 columns with no LP, or, when positive on more
+    columns, d + 1 of them that start phase 2 of the max-min-weight program
+    with no Wolfe cycle; otherwise Wolfe's minimum-norm-point algorithm
+    either returns the separator or starts phase 2; the two-phase LP of
+    mode ``"exact"`` is the fallback.  Only the active columns are transformed.  A float
     separator whose re-verified margin is at most ``band``, and a float
     certificate that fails its re-check, are re-decided through the exact
     LP when the subset has at most ``EXACT_CAP`` active columns; the
     verdict then carries ``boundary_flag``.  Above the cap a band separator
     is only flagged, and a failed re-check raises.  Each returned verdict
-    logs one DEBUG record naming the route taken ("least-norm basis",
-    Wolfe's separator or basis, or a two-phase fallback), Wolfe's cycle
-    counts and the simplex pivots.
+    logs one DEBUG record naming the route taken ("least-norm separator",
+    "least-norm weights", "least-norm basis and phase 2", Wolfe's
+    separator or basis, or a two-phase fallback), Wolfe's cycle counts and
+    the simplex pivots.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -749,11 +747,6 @@ def _exact_weights_to_scaling(frame: Frame, active, cols,
                         u_exact=tuple(u_full), alpha_exact=alpha)
 
 
-def _exact_spans(cols, active, n) -> bool:
-    rows = [[cols[k][i] for k in active] for i in range(n)]
-    return exact.rank_exact(rows) == n
-
-
 def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     """Certificate-exact decision over rational arithmetic.
 
@@ -761,10 +754,9 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     of the transformed subset is decided by enumerating the vertices of
     the normalized weight polytope; when the subset has no kernel, that
     system is inconsistent and the enumeration returns no vertex at once.
-    The dual branch runs the max-min-weight program with rational pivots,
-    as ``decide(mode="exact")`` does, and asserts that it agrees: its
-    Farkas separator is the certificate, and t* is that separator's
-    margin at |h|_inf = 1.
+    The dual branch is the verdict of ``decide(mode="exact")``, which must
+    agree: the Farkas separator of its rational max-min-weight program is
+    the certificate, and t* is that separator's margin at |h|_inf = 1.
 
     Frame entries convert losslessly to rationals; pass ``rational`` when
     the intended entries are not float-representable (e.g. 50-digit
@@ -800,16 +792,11 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
                        boundary_flag=False, t_star=0.0, s_star=s_star,
                        subset=subset, spans=True, resolved_by="exact")
 
-    g = np.array(g_cols, dtype=object).T
-    prog = _max_min_weight(g)
-    if prog.u is not None:
+    v = _decide_exact_lp(frame, subset, rational=rational)[0]
+    if v.scalable:
         raise ArithmeticError(
             "exact routes disagree: no vertex, yet the program finds weights")
-    sep = _package_separator(g, prog.h, active)
-    return Verdict(scalable=False, strict=False, certificate=sep,
-                   boundary_flag=False, t_star=sep.margin, s_star=None,
-                   subset=subset, spans=_exact_spans(cols, subset, frame.n),
-                   resolved_by="exact")
+    return v
 
 
 def _decide_exact_lp(frame: Frame, subset, rational=None):
@@ -823,7 +810,8 @@ def _decide_exact_lp(frame: Frame, subset, rational=None):
     g = np.array([exact.f_vector_exact(cols[k]) for k in active],
                  dtype=object).T
     prog = _max_min_weight(g)
+    rows = [[cols[k][i] for k in subset] for i in range(frame.n)]
     return _decide_columns(
         prog, g, subset, active,
         lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),
-        lambda: _exact_spans(cols, subset, frame.n)), prog.route
+        lambda: exact.rank_exact(rows) == frame.n), prog.route

@@ -207,16 +207,11 @@ def _two_phase(a: np.ndarray, b: np.ndarray, c: np.ndarray, initial_basis,
 def solve_lp(a, b, c, *, initial_basis=None) -> LPResult:
     """Two-phase simplex over float64.
 
-    ``initial_basis`` may name one column per row whose submatrix B is
-    nonsingular with B^-1 b >= 0 up to rounding; phase 1 is skipped, and
-    the tableau is transformed by B^-1 once unless B is the identity.
+    ``initial_basis`` may name one column per row; those columns must
+    already form an identity submatrix of A, with b >= 0, and phase 1 is
+    skipped.  ``solve_lp_exact`` takes the same basis.
     """
     a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
-    if initial_basis is not None and not np.array_equal(
-            a[:, initial_basis], np.eye(len(b))):
-        t = np.linalg.solve(a[:, initial_basis], np.column_stack([a, b]))
-        a, b = t[:, :-1], np.maximum(t[:, -1], 0.0)
-        a[:, initial_basis] = np.eye(len(b))
     res = _two_phase(a, b, c, initial_basis, 0.0,
                      DEFAULT_COST_TOL, DEFAULT_PIVOT_TOL, DEFAULT_FEAS_TOL)
     if res.objective is not None:
@@ -230,8 +225,8 @@ def solve_lp_exact(a, b, c, *, initial_basis=None) -> LPResult:
     Inputs are nested sequences or arrays of ints, floats or Fractions;
     every entry becomes a ``Fraction``.  Statuses, solutions and rays are
     exact (``x`` and ``ray`` are object arrays of ``Fraction``), so a sign
-    read off the optimum is a proof.  ``initial_basis`` must name columns
-    that already form an identity submatrix with b >= 0.
+    read off the optimum is a proof.  ``initial_basis`` is as for
+    ``solve_lp``.
     """
     a, b, c = (_to_fraction(np.array(v, dtype=object)) for v in (a, b, c))
     return _two_phase(a, b, c, initial_basis, Fraction(0), 0, 0, 0)

@@ -53,6 +53,16 @@ def quadrant_file(tmp_path):
 
 # --- parsing --------------------------------------------------------------------
 
+def test_parser_is_built_once_and_keeps_no_options(mercedes_file):
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["subsets", mercedes_file, "--m", "2",
+                               "--mode", "exact", "--strict"])
+    second = parser.parse_args(["analyze", mercedes_file])
+    assert (first.mode, first.strict) == ("exact", True)
+    assert second.mode == "float" and not hasattr(second, "strict")
+
+
 def test_invalid_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -245,6 +245,20 @@ def test_decide_never_runs_the_separator_program(
                 assert v.certificate.margin_exact > 0
 
 
+def _wolfe_basis_frame():
+    """k = 4 > d + 1 columns in R^2 with a negative least-norm weight:
+    Wolfe's corral starts phase 2."""
+    return random_scalable_frame(np.random.default_rng(0), 2, 4)
+
+
+def _two_onbs():
+    """Two orthonormal bases of R^2: the least-norm weights are uniform,
+    but the push onto d + 1 = 3 columns zeroes two at once, and Wolfe
+    reaches the origin on a corral of two columns."""
+    r = 1 / np.sqrt(2.0)
+    return fs.build_frame(2, [(1, 0), (0, 1), (r, r), (r, -r)])
+
+
 @pytest.mark.parametrize("mode", ["float", "exact"])
 @pytest.mark.parametrize("error", [fs.LPNumericalFailure, fs.Infeasible])
 def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
@@ -252,9 +266,12 @@ def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
     if error is fs.LPNumericalFailure:
         # Phase 2 stops at once at its starting vertex: the weights there
         # are verified, strictness stays unknown.  Exact mode runs phase 1
-        # first; float mode starts phase 2 at Wolfe's corral.
+        # first; float mode starts phase 2 at Wolfe's corral on a frame of
+        # k > d + 1 columns whose least-norm weights decline (mercedes has
+        # k = d + 1 and takes them with no LP).
         run, calls = simplex._run_simplex, []
         phase_2 = 1 if mode == "float" else 2
+        frame = mercedes if mode == "exact" else _wolfe_basis_frame()
 
         def stop_phase_2(*args):
             calls.append(args)
@@ -263,8 +280,11 @@ def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
             return run(*args)
 
         monkeypatch.setattr(simplex, "_run_simplex", stop_phase_2)
-        v = fs.decide(mercedes, mode=mode)
+        with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+            v = fs.decide(frame, mode=mode)
         assert len(calls) == phase_2
+        if mode == "float":
+            assert "Wolfe basis and phase 2" in caplog.text
         assert v.scalable and not v.strict and v.s_star is None
         w = v.certificate
         assert w.residual <= 1e-9 * w.alpha
@@ -379,7 +399,7 @@ def test_wolfe_started_phase_2_keeps_the_two_phase_optimum(
     f = random_scalable_frame(np.random.default_rng(seed), 10, 60)
     # These frames take the least-norm basis; declining it puts them on
     # Wolfe's corral.
-    monkeypatch.setattr(feasibility, "_least_norm_corral", lambda g: None)
+    monkeypatch.setattr(feasibility, "_least_norm", lambda g: None)
     with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
         v = fs.decide(f)
     assert "Wolfe basis and phase 2" in caplog.text
@@ -391,8 +411,8 @@ def test_wolfe_started_phase_2_keeps_the_two_phase_optimum(
 
 def test_stalled_wolfe_falls_back_to_the_two_phase_lp(
         onb2, quadrant, mercedes, onb_plus, monkeypatch, caplog):
-    # onb2 has k = 2 = d columns, so the affine-hull route would decide it.
-    monkeypatch.setattr(feasibility, "_affine_hull", lambda g: None)
+    # The least-norm weights would decide onb2, mercedes and onb_plus.
+    monkeypatch.setattr(feasibility, "_least_norm", lambda g: None)
     monkeypatch.setattr(feasibility, "_wolfe", _stalled_wolfe)
     frames = (onb2, quadrant, mercedes, onb_plus)
     with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
@@ -406,11 +426,11 @@ def test_stalled_wolfe_falls_back_to_the_two_phase_lp(
     assert len(caplog.records) == len(frames)
 
 
-def test_decide_logs_one_record_naming_its_route(
-        quadrant, mercedes, onb_plus, caplog):
+def test_decide_logs_one_record_naming_its_route(quadrant, mercedes, caplog):
     cases = [(quadrant, 1e-9, "Wolfe separator"),
-             (mercedes, 1e-9, "Wolfe basis and phase 2"),
-             (onb_plus, 1e-9, "two-phase fallback (corral of 2 < d + 1 = 3"),
+             (_wolfe_basis_frame(), 1e-9, "Wolfe basis and phase 2"),
+             (_two_onbs(), 1e-9,
+              "two-phase fallback (corral of 2 < d + 1 = 3"),
              (quadrant, 0.5, "within the band, so exact: two-phase, exact")]
     for frame, band, route in cases:
         caplog.clear()
@@ -428,11 +448,11 @@ def test_decide_logs_one_record_naming_its_route(
     assert "two-phase, exact" in record.getMessage()
 
 
-def test_route_record_names_pivots_and_phase(mercedes, onb_plus, caplog):
-    cases = [(mercedes, "float", r"; phase 2: (\d+) pivots, 0 under "
-              r"Bland's guard$"),
-             (onb_plus, "float", r"; both phases: (\d+) pivots, 0 under "
-              r"Bland's guard$"),
+def test_route_record_names_pivots_and_phase(mercedes, caplog):
+    cases = [(_wolfe_basis_frame(), "float", r"Wolfe basis and phase 2 .*; "
+              r"phase 2: (\d+) pivots, 0 under Bland's guard$"),
+             (_two_onbs(), "float", r"two-phase fallback .*; both phases: "
+              r"(\d+) pivots, 0 under Bland's guard$"),
              (mercedes, "exact", r"; both phases: (\d+) pivots, 0 under "
               r"Bland's guard$")]
     for frame, mode, pattern in cases:
@@ -601,7 +621,7 @@ def _frame_10x60(kind, seed):
 def test_least_norm_basis_keeps_wolfes_verdict(kind, seed, monkeypatch):
     f = _frame_10x60(kind, seed)
     v = fs.decide(f)
-    monkeypatch.setattr(feasibility, "_least_norm_corral", lambda g: None)
+    monkeypatch.setattr(feasibility, "_least_norm", lambda g: None)
     w = fs.decide(f)
     assert (v.scalable, v.strict, v.support_size) == \
         (w.scalable, w.strict, w.support_size)
@@ -636,7 +656,7 @@ def test_scalable_10x60_frames_skip_wolfe(seed, monkeypatch, caplog):
 @pytest.mark.parametrize("seed", range(5))
 def test_random_10x60_frames_decline_the_least_norm_basis(seed, caplog):
     f = _frame_10x60("random", seed)
-    assert feasibility._least_norm_corral(fs.f_image(f).matrix) is None
+    assert feasibility._least_norm(fs.f_image(f).matrix) is None
     v, route = _route_of(f, caplog)
     assert "Wolfe separator" in route and not v.scalable
 
@@ -664,7 +684,7 @@ def test_rank_deficient_columns_decline_the_least_norm_basis(rotate, caplog):
             np.random.default_rng(0), 3))
     g = fs.f_image(f).matrix
     assert fs.numerical_rank(np.vstack([g, np.ones(f.m)])) == fs.target_dim(3)
-    assert feasibility._least_norm_corral(g) is None
+    assert feasibility._least_norm(g) is None
     if rotate:
         assert np.min(_least_norm_weights(f)) > 0.0
     v, route = _route_of(f, caplog)
@@ -685,7 +705,7 @@ def test_negative_least_norm_weights_decline(caplog):
     # entry.
     f = _onb_and_gaussians(0)
     assert np.min(_least_norm_weights(f)) < 0.0
-    assert feasibility._least_norm_corral(fs.f_image(f).matrix) is None
+    assert feasibility._least_norm(fs.f_image(f).matrix) is None
     v, route = _route_of(f, caplog)
     assert "Wolfe" in route and "least-norm" not in route
     e = fs.decide(f, mode="exact")
@@ -705,19 +725,26 @@ def test_least_norm_basis_agrees_with_exact_on_small_frames(seed, caplog):
 def test_refused_least_norm_basis_falls_back_to_wolfe(monkeypatch, caplog):
     # Columns 0-2 keep the origin out of their triangle (see the infeasible
     # corral test above), so their basis is infeasible; the frame is
-    # scalable, and Wolfe's corral starts phase 2.
+    # scalable, and Wolfe's corral starts phase 2.  The least-norm basis is
+    # swapped for columns 0-2, and the second basis checked is Wolfe's.
     f = _at_angles(10, 20, 30, 70, 130)
-    monkeypatch.setattr(feasibility, "_least_norm_corral",
-                        lambda g: [0, 1, 2])
+    assert "least-norm basis and phase 2" in _route_of(f, caplog)[1]
     a, b, _ = feasibility._program(fs.f_image(f).matrix)
-    assert feasibility._wolfe_basis(a, b, [0, 1, 2])[2] == \
-        "infeasible corral basis"
+    real, corrals = feasibility._wolfe_basis, []
+    assert real(a, b, [0, 1, 2])[2] == "infeasible corral basis"
+
+    def first_basis_infeasible(a, b, corral):
+        corrals.append(corral)
+        return real(a, b, [0, 1, 2] if len(corrals) == 1 else corral)
+
+    monkeypatch.setattr(feasibility, "_wolfe_basis", first_basis_infeasible)
     v, route = _route_of(f, caplog)
+    assert len(corrals) == 2
     assert "Wolfe basis and phase 2" in route and "both phases" not in route
     assert v.scalable and v.strict and v.certificate.verify(f)
 
 
-# --- affine-hull route --------------------------------------------------------
+# --- least-norm separator and weights: k <= d + 1 ---------------------------
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("m", range(4, 10))
@@ -729,7 +756,7 @@ def test_small_frames_separate_by_their_affine_hull(m, seed, monkeypatch,
     monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
     f = fs.random_frame(4, m, seed=seed)
     v, route = _route_of(f, caplog)
-    assert route.endswith("affine-hull separator")
+    assert route.endswith("least-norm separator")
     assert not v.scalable and not v.boundary_flag
     products = v.certificate.h @ fs.f_image(f).matrix
     np.testing.assert_allclose(products, np.max(products), rtol=1e-9)
@@ -744,7 +771,7 @@ def test_small_scalable_frames_take_the_affine_weights(onb2, monkeypatch,
                        for seed in range(3) for m in (5, 7)]
     for f in frames:
         v, route = _route_of(f, caplog)
-        assert route.endswith("affine-hull weights")
+        assert route.endswith("least-norm weights")
         assert v.scalable and v.strict and not v.boundary_flag
         w = v.certificate
         assert w.support == tuple(range(f.m)) and w.verify(f)
@@ -787,7 +814,7 @@ def test_affinely_dependent_columns_go_to_wolfe(caplog):
     # {e1, 2 e1, e2, e3} is a segment, not a point: s* is the LP's.
     f = fs.build_frame(3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])
     v, route = _route_of(f, caplog)
-    assert "affine-hull" not in route and "phase" in route
+    assert "least-norm" not in route and "phase" in route
     exact = fs.decide(f, mode="exact")
     assert v.strict and exact.strict
     assert v.s_star == pytest.approx(exact.s_star, rel=1e-9)
@@ -798,7 +825,7 @@ def test_underflowed_columns_skip_the_affine_route():
     # there is no norm to scale K by, and the affine route declines.
     f = fs.build_frame(2, [(1e-200, 0.0), (0.0, 1e-200)])
     assert not np.any(fs.f_image(f).matrix)
-    assert feasibility._affine_hull(fs.f_image(f).matrix) is None
+    assert feasibility._least_norm(fs.f_image(f).matrix) is None
     v = fs.decide(f)
     assert v.scalable and v.strict
 
@@ -826,7 +853,66 @@ def test_affine_route_agrees_with_exact_on_dyadic_frames(caplog):
             continue
         e = fs.decide(f, mode="exact")
         assert (v.scalable, v.strict) == (e.scalable, e.strict), route
-    assert {"affine-hull separator", "affine-hull weights"} <= routes
+    assert {"least-norm separator", "least-norm weights"} <= routes
+
+
+def test_d_plus_1_columns_take_the_unique_weights(mercedes, onb_plus,
+                                                  quadrant, monkeypatch,
+                                                  caplog):
+    # k = d + 1 = 3 columns in R^2: {F u = 0, sum u = 1} is one point.
+    g = fs.f_image(quadrant).matrix
+    assert feasibility._least_norm(g) is None  # a negative weight
+    v, route = _route_of(quadrant, caplog)
+    assert "Wolfe separator" in route and not v.scalable
+    monkeypatch.setattr(feasibility, "_wolfe", _must_not_run)
+    monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
+    v, route = _route_of(mercedes, caplog)
+    assert route.endswith("least-norm weights")
+    assert v.scalable and v.strict
+    assert v.s_star == pytest.approx(1 / 3, rel=1e-12)
+    v, route = _route_of(onb_plus, caplog)
+    assert route.endswith("least-norm weights")
+    assert v.scalable and not v.strict
+    assert v.certificate.support == (0, 1) and v.s_star == 0.0
+    # Images (1, 0), (-1, -1e-12) and (0, 1): the third weight is 5e-13,
+    # at most WOLFE_POS_TOL, so it counts as zero, as in Wolfe's corral.
+    f = fs.build_frame(2, [_with_image(1, 0), _with_image(-1, -1e-12),
+                           _with_image(0, 1)])
+    v, route = _route_of(f, caplog)
+    assert route.endswith("least-norm weights")
+    assert v.certificate.support == (0, 1) and v.s_star == 0.0
+
+
+def _d_plus_1_frames(n):
+    d = fs.target_dim(n)
+    for seed in range(6):
+        yield random_scalable_frame(np.random.default_rng(seed), n, d + 1)
+        yield fs.random_frame(n, d + 1, seed=seed)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_float_and_exact_agree_at_d_plus_1_columns(n, caplog):
+    routes = set()
+    for f in _d_plus_1_frames(n):
+        v, route = _route_of(f, caplog)
+        routes.add(route.split(": ", 1)[1].split(";")[0].split(" after")[0])
+        e = fs.decide(f, mode="exact")
+        assert (v.scalable, v.strict) == (e.scalable, e.strict), route
+        if v.strict:
+            assert v.s_star == pytest.approx(float(e.s_star), rel=1e-9)
+    assert "least-norm weights" in routes
+
+
+def test_d_plus_1_weights_keep_the_accuracy_of_the_lp(caplog):
+    # K = [g; 1']'[g; 1'] has condition 2e9 here: mu read off K^-1 missed
+    # s* by 1.3e-8 relative, where phase 2 on the same columns gets 2e-14.
+    # Solving the square [g; 1'] mu = e keeps the LP's accuracy.
+    f = random_scalable_frame(np.random.default_rng(5011), 5, 15)
+    v, route = _route_of(f, caplog)
+    assert route.endswith("least-norm weights")
+    e = fs.decide(f, mode="exact")
+    assert v.strict and e.strict
+    assert v.s_star == pytest.approx(float(e.s_star), rel=1e-12)
 
 
 # --- sign-based rejection ---------------------------------------------------

@@ -139,28 +139,6 @@ def test_initial_basis_skips_artificial_phase():
     assert res.objective == pytest.approx(-3.0)
 
 
-def test_non_identity_initial_basis_skips_phase_1(monkeypatch):
-    # max x1 + 2 x2 s.t. x1 + x2 + s1 = 2, x1 - x2 + s2 = 0, started at the
-    # basis {x1, x2}, whose submatrix [[1, 1], [1, -1]] is no identity.
-    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
-    b = np.array([2.0, 0.0])
-    c = np.array([-1.0, -2.0, 0.0, 0.0])
-    run, calls = simplex._run_simplex, []
-
-    def counted(*args):
-        calls.append(args)
-        return run(*args)
-
-    monkeypatch.setattr(simplex, "_run_simplex", counted)
-    res = simplex.solve_lp(a, b, c, initial_basis=[0, 1])
-    assert len(calls) == 1
-    two_phase = simplex.solve_lp(a, b, c)
-    assert res.status == two_phase.status == simplex.OPTIMAL
-    assert res.objective == pytest.approx(two_phase.objective)
-    np.testing.assert_allclose(res.x, two_phase.x, atol=1e-12)
-    np.testing.assert_allclose(res.x, [0.0, 2.0, 0.0, 2.0], atol=1e-12)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_separator_optimum_is_literal_zero_for_scalable_frames(seed):
     # Wolfe's point reaches the origin on scalable instances, and that

@@ -478,7 +478,7 @@ def test_index_does_not_depend_on_the_affine_route(kind, seed, monkeypatch):
     f = (random_scalable_frame(rng, 4, 13) if kind == "tight"
          else _planted_4x13(rng, int(kind[-1])))
     res = fs.scalability_index(f)
-    monkeypatch.setattr(feasibility, "_affine_hull", lambda g: None)
+    monkeypatch.setattr(feasibility, "_least_norm", lambda g: None)
     off = fs.scalability_index(f)
     assert (res.index, res.not_scalable, res.unknown_below) == \
         (off.index, off.not_scalable, off.unknown_below)

@@ -4,9 +4,11 @@ Carving scaling weights down to a small support
 
 Any verified scaling weights can be pushed onto at most dim span of the
 outer products phi_k phi_k^T many columns, which is never more than
-N(N+1)/2.  The reduction reads a vertex of the weight polytope
-{u >= 0 : F u = 0, sum u = 1} on the support of the given weights; the
-columns a vertex uses are few enough by Caratheodory's theorem.
+N(N+1)/2.  The reduction moves the given weights along the kernel of
+the weight polytope {u >= 0 : F u = 0, sum u = 1} on their support,
+zeroing one weight per step, until it reaches a vertex, whose columns are
+few enough by Caratheodory's theorem.  No LP runs, and the new support is
+a subset of the old one.
 """
 
 import numpy as np

@@ -18,18 +18,19 @@ affine hull that misses the origin.  For k <= d + 1 affinely independent
 columns at the origin, mu is the only point of {F u = 0, sum u = 1}, and
 when mu >= 0 the weight polytope is {mu}, with no LP.  For more than
 d + 1 columns with mu > 0, the constructive step of Caratheodory's
-theorem moves mu along the kernel onto d + 1 columns, a feasible basis of
+theorem, ``_caratheodory_push``, which ``subsets.caratheodory_reduce``
+shares, moves mu along the kernel onto d + 1 columns, a feasible basis of
 the program, and phase 2 runs from there to the optimum s*.  Otherwise
 Wolfe's minimum-norm-point algorithm (Math. Prog. 11, 1976) runs on the
 columns.  A point x of their hull with min_k <x, F(phi_k)> > 0 is the
 separator, and no LP runs.  When x reaches the origin, Wolfe's corral of
 d + 1 columns is a feasible basis too, and phase 2 runs from it.  Either
-basis only sets where phase 2 starts, not s*.  Otherwise the
-program runs as a two-phase simplex: its phase 1 is phase 1 on the weight
-polytope {F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the
-Farkas duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is
-the separator.  The phase-2 point is the weights certificate, strict when
-s* clears a threshold and a basic point with support at most d + 1 when
+basis only sets where phase 2 starts, not s*.  Otherwise the program runs
+as a two-phase simplex: its phase 1 is phase 1 on the weight polytope
+{F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the Farkas
+duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is the
+separator.  The phase-2 point is the weights certificate, strict when s*
+clears a threshold and a basic point with support at most d + 1 when
 s* = 0.  Both certificates are re-checked before they are returned.
 
 Mode ``"exact"`` runs the two-phase program with rational pivots.  Float
@@ -154,23 +155,6 @@ def _active_columns(frame: Frame, subset) -> tuple:
         return subset
     active = tuple(k for k in subset if np.any(frame.column(k) != 0.0))
     return subset if active == subset else active  # a separator shares it
-
-
-# --- LP programs ------------------------------------------------------------
-# Each program builds its standard form with 0/1 integer constants, which
-# suit float64 columns and object columns of Fraction (``solve_lp_exact``
-# converts every entry).
-
-def weight_polytope(g: np.ndarray):
-    """Standard form (A, b) of the weight polytope {g u = 0, sum u = 1,
-    u >= 0} on the columns g, over their number type."""
-    d, k = g.shape
-    a = np.zeros((d + 1, k), dtype=g.dtype)
-    a[:d] = g
-    a[d] = 1
-    b = np.zeros(d + 1, dtype=g.dtype)
-    b[-1] = 1
-    return a, b
 
 
 def _shifted_gram_inverse(rs: np.ndarray):
@@ -306,6 +290,24 @@ def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
         x = g[:, corral] @ lam
 
 
+def _caratheodory_push(u: np.ndarray, z: np.ndarray) -> list | None:
+    """Caratheodory's constructive step, in place: weights u >= 0 on the
+    columns of [g; 1'] move along each row of z, a basis of its kernel,
+    until a weight reaches zero; that column leaves, and later rows are
+    cleared on it.  Returns the kept columns, or None on a row z_r >= 0."""
+    keep = np.ones(len(u), dtype=bool)
+    for r, zr in enumerate(z):
+        fall = np.flatnonzero(zr < 0.0)
+        if fall.size == 0:
+            return None
+        i = fall[np.argmin(u[fall] / -zr[fall])]
+        u += (u[i] / -zr[i]) * zr
+        u[i], keep[i] = 0.0, False
+        z[r + 1:] -= np.outer(z[r + 1:, i] / zr[i], zr)
+        z[r + 1:, i] = 0.0
+    return np.flatnonzero(keep).tolist()
+
+
 def _least_norm(g: np.ndarray) -> WeightProgram | None:
     """The max-min-weight program on float columns g read off their
     least-norm weights mu, or None when mu decides nothing.
@@ -330,14 +332,12 @@ def _least_norm(g: np.ndarray) -> WeightProgram | None:
     projects the ones vector onto the kernel of g: one d x d solve, and a
     weight of mu at most ``WOLFE_POS_TOL`` declines at once (on every frame
     that is not scalable, and on many that are).  A positive mu lies in the
-    weight polytope, and the constructive step of Caratheodory's theorem
-    pushes it onto d + 1 columns: along each direction of the kernel of
-    [g; 1'] in turn, mu moves until a weight reaches zero, that column
-    leaves, and the directions still to come are cleared on it.  Phase 2
-    starts from the basis of those columns.  None when [g; 1'] has rank
-    below d + 1 (by the threshold of ``numerical_rank``), when a weight of
-    the basis ends at most ``WOLFE_POS_TOL``, or when ``_wolfe_basis``
-    refuses the basis.
+    weight polytope, and ``_caratheodory_push`` moves it onto d + 1
+    columns along the kernel of [g; 1'], which the QR factors of [g; 1']'
+    span.  Phase 2 starts from the basis of those columns.  None when
+    [g; 1'] has rank below d + 1 (by the threshold of ``numerical_rank``),
+    when a weight of the basis ends at most ``WOLFE_POS_TOL``, or when
+    ``_wolfe_basis`` refuses the basis.
     """
     d, k = g.shape
     if k > d + 1:
@@ -376,20 +376,9 @@ def _least_norm(g: np.ndarray) -> WeightProgram | None:
     sv = np.linalg.svd(tri[:d + 1], compute_uv=False)
     if _rank_of_singular_values(sv, a.shape) != d + 1:
         return None
-    z = q[:, d + 1:].T
-    keep = np.ones(k, dtype=bool)
-    for r, zr in enumerate(z):
-        fall = np.flatnonzero(zr < 0.0)
-        if fall.size == 0:
-            return None
-        i = fall[np.argmin(u[fall] / -zr[fall])]
-        u += (u[i] / -zr[i]) * zr
-        u[i], keep[i] = 0.0, False
-        z[r + 1:] -= np.outer(z[r + 1:, i] / zr[i], zr)
-        z[r + 1:, i] = 0.0
-    if np.min(u[keep]) <= WOLFE_POS_TOL:
+    corral = _caratheodory_push(u, q[:, d + 1:].T)
+    if corral is None or np.min(u[corral]) <= WOLFE_POS_TOL:
         return None
-    corral = np.flatnonzero(keep).tolist()
     a, b, c = _program(g)
     a, b, why = _wolfe_basis(a, b, corral)
     if why is not None:
@@ -423,11 +412,15 @@ def _wolfe_basis(a: np.ndarray, b: np.ndarray, corral: list):
 
 
 def _program(g: np.ndarray):
-    """(A, b, c) of the max-min-weight program on the columns g: the weight
-    polytope with the column of s, the sum of the v columns, appended."""
-    k = g.shape[1]
-    a, b = weight_polytope(g)
-    a = np.column_stack([a, np.append(g.sum(axis=1), k)])
+    """(A, b, c) of the max-min-weight program on float or ``Fraction``
+    columns g: {g u = 0, sum u = 1, u >= 0} in standard form, with the s
+    column, the sum of the v columns, appended."""
+    d, k = g.shape
+    a = np.ones((d + 1, k + 1), dtype=g.dtype)
+    a[:d, :k] = g
+    a[:, k] = np.append(g.sum(axis=1), k)
+    b = np.zeros(d + 1, dtype=g.dtype)
+    b[d] = 1
     c = np.zeros(k + 1, dtype=g.dtype)
     c[k] = -1
     return a, b, c

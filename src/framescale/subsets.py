@@ -3,9 +3,9 @@
 A frame is m-scalable when some m of its columns already form a scalable
 frame.  Enumeration is the last resort: an m = N query reduces entirely to
 finding N pairwise-orthogonal columns, a negative full-frame verdict kills
-every subset at once, and a positive one moves to a vertex of the weight
-polytope on the support before any enumeration starts; that vertex uses no
-more columns than the dimension of the outer-product span.
+every subset at once, and a positive one pushes its weights to a vertex of
+the weight polytope before any enumeration starts (``caratheodory_reduce``):
+a subset of their support, of at most dim span{phi_k phi_k^T} columns.
 
 Once the full frame is known scalable, separators prune the enumeration.
 A direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
@@ -27,11 +27,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NumericalStall
 from .exact import f_vector_exact, frame_to_fractions
-from .feasibility import (DEFAULT_BOUNDARY_BAND, Separator, Verdict, decide,
-                          weight_polytope)
+from .feasibility import (DEFAULT_BOUNDARY_BAND, WOLFE_POS_TOL, Separator,
+                          Verdict, _caratheodory_push, decide)
 from .fmap import f_image
-from .frames import Frame, ScalingWeights, make_weights
-from .simplex import OPTIMAL, solve_lp
+from .frames import (Frame, ScalingWeights, _rank_of_singular_values,
+                     make_weights)
 
 DEFAULT_SUBSET_BUDGET = 10 ** 6
 DEFAULT_ORTHO_TOL = 1e-10
@@ -213,36 +213,43 @@ def is_m_scalable(frame: Frame, m: int, strict: bool = False, *,
 
 
 def _pad(support, m: int, total: int) -> tuple:
-    chosen = list(support)
-    for k in range(total):
-        if len(chosen) >= m:
-            break
-        if k not in support:
-            chosen.append(k)
-    return tuple(sorted(chosen))
+    rest = [k for k in range(total) if k not in support]
+    return tuple(sorted([*support, *rest[:m - len(support)]]))
 
 
 def caratheodory_reduce(frame: Frame,
                         weights: ScalingWeights) -> ScalingWeights:
     """Move verified weights to a vertex of the weight polytope on their
-    support, preserving the tightness identity.
+    support with no LP, preserving the tightness identity.
 
-    The vertex is the phase-1 point of {u >= 0 : F_S u = 0, sum u = 1}
-    over the nonzero support columns S.  Its support T has linearly
-    independent columns (F(phi_k), 1), and since F vanishes only on
-    multiples of the identity, which the outer products on a scalable T
-    span, |T| is at most dim span{phi_k phi_k^T : k in T} <= N(N+1)/2.
+    On their support S, without zero columns and weights at most
+    ``WOLFE_POS_TOL``, ``feasibility._caratheodory_push`` (the step that
+    starts phase 2 of ``decide``) moves the weights along the kernel of
+    [F_S; 1'], the right singular vectors of its scaled rows past the rank
+    of ``numerical_rank``.  A push that zeroes two weights leaves one of
+    rounding size, which leaves S before the kernel is taken again, until
+    it is empty.  The new support T is then a subset of S with independent
+    columns (F(phi_k), 1).  Since F vanishes only on multiples of the
+    identity, which the outer products on a scalable T span, |T| is at
+    most dim span{phi_k phi_k^T : k in T} <= N(N+1)/2.
     """
     if not weights.verify(frame, REDUCE_TOL):
         raise ValueError("input weights do not verify on this frame")
-    norms = frame.norms()
-    support = [k for k in weights.support if norms[k] > 0.0]
-    a, b = weight_polytope(f_image(frame).columns(support))
-    res = solve_lp(a, b, np.zeros(len(support)))
-    if res.status != OPTIMAL:
-        raise NumericalStall(f"weight polytope on the support: {res.status}")
-    u = np.zeros(frame.m)
-    u[support] = res.x
+    g = f_image(frame).matrix
+    g = g / (np.max(np.abs(g), initial=0.0) or 1.0)
+    u = np.where(frame.norms() > 0.0, weights.u, 0.0)
+    while True:
+        u[u <= WOLFE_POS_TOL] = 0.0
+        support = np.flatnonzero(u)
+        a = np.vstack([g[:, support], np.ones(len(support))])
+        _, sv, vt = np.linalg.svd(a)
+        rank = _rank_of_singular_values(sv, a.shape)
+        if rank == len(support):
+            break
+        pushed = u[support]
+        if _caratheodory_push(pushed, vt[rank:]) is None:
+            raise NumericalStall("no push along the kernel on the support")
+        u[support] = pushed
     result = make_weights(frame, u)
     if result.residual > REDUCE_TOL * result.alpha:
         raise NumericalStall(

@@ -589,14 +589,14 @@ def test_infeasible_corral_basis_falls_back_to_two_phases(monkeypatch,
 
 def test_wolfe_basis_puts_the_program_in_canonical_form(mercedes):
     g = fs.f_image(mercedes).matrix
-    a, b = feasibility.weight_polytope(g)
+    a, b, _ = feasibility._program(g)
     w = feasibility._wolfe(g)
     t, e, why = feasibility._wolfe_basis(a, b, w.corral)
     assert why is None
     # B^-1 (A, b) with B = A on the corral: the uniform weights, which
-    # solve A u = b, solve t u = e too.
+    # solve A u = b with s = 0, solve t u = e too.
     np.testing.assert_array_equal(t[:, w.corral], np.eye(3))
-    np.testing.assert_allclose(t @ np.full(3, 1 / 3), e, atol=1e-12)
+    np.testing.assert_allclose(t[:, :3] @ np.full(3, 1 / 3), e, atol=1e-12)
     assert np.all(e >= 0.0)
 
 

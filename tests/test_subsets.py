@@ -7,7 +7,7 @@ import pytest
 
 import framescale as fs
 import framescale.subsets as subsets
-from framescale import feasibility
+from framescale import feasibility, simplex
 from framescale.exact import f_vector_exact, frame_to_fractions
 from conftest import random_orthogonal, random_scalable_frame
 
@@ -171,10 +171,28 @@ def _scalable_10x60(seed):
     return f, fs.decide(f).certificate
 
 
+def _strict_4x13(seed):
+    f = random_scalable_frame(np.random.default_rng(seed), 4, 13)
+    v = fs.decide(f)
+    assert v.strict and v.certificate.support_size == 13
+    return f, v.certificate
+
+
+def _exact_3x7(seed):
+    f = random_scalable_frame(np.random.default_rng(seed), 3, 7)
+    v = fs.decide(f, mode="exact")
+    assert v.scalable and v.resolved_by == "exact"
+    return f, v.certificate
+
+
+# Seeds 18 and 38 give three bases of R^3 on which one push zeroes two
+# weights at once, so a single round of pushes ends on dependent columns.
 @pytest.mark.parametrize(
     "make, seed",
-    [pytest.param(_rotated_bases, s, id=str(s)) for s in range(10)]
-    + [pytest.param(_scalable_10x60, s, id=f"10x60-{s}") for s in (710, 711)])
+    [pytest.param(_rotated_bases, s, id=str(s)) for s in (*range(10), 18, 38)]
+    + [pytest.param(_scalable_10x60, s, id=f"10x60-{s}") for s in (710, 711)]
+    + [pytest.param(_strict_4x13, s, id=f"4x13-{s}") for s in (720, 721)]
+    + [pytest.param(_exact_3x7, s, id=f"exact-3x7-{s}") for s in (730, 731)])
 def test_reduce_support_bounded_by_span_dimension(make, seed):
     f, w = make(seed)
     r = fs.caratheodory_reduce(f, w)
@@ -188,6 +206,51 @@ def test_reduce_support_bounded_by_span_dimension(make, seed):
     g = fs.f_image(f).columns(r.support)
     lifted = np.vstack([g, np.ones(len(r.support))])
     assert fs.numerical_rank(lifted) == len(r.support)
+
+
+def test_reduce_runs_no_lp(monkeypatch):
+    f, w = _strict_4x13(740)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("caratheodory_reduce ran an LP")
+
+    for module in (simplex, subsets):
+        for name in ("solve_lp", "solve_lp_exact"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    r = fs.caratheodory_reduce(f, w)
+    assert len(r.support) <= 10 and r.residual <= 1e-8 * r.alpha
+
+
+def test_reduce_stalls_when_the_push_refuses(monkeypatch):
+    f, w = _strict_4x13(740)
+    monkeypatch.setattr(subsets, "_caratheodory_push", lambda u, z: None)
+    with pytest.raises(fs.NumericalStall):
+        fs.caratheodory_reduce(f, w)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduce_leaves_rounding_level_weights_out(seed):
+    # A scalable 4 x 7 frame and 6 Gaussian columns that carry weights of
+    # rounding size: pushing from those weights would spend the kernel's
+    # directions on them, so they stay out of the support.  The 7 columns
+    # (F(phi_k), 1) in R^10 are independent, so nothing is left to push.
+    rng = np.random.default_rng(seed)
+    base = random_scalable_frame(rng, 4, 7)
+    f = fs.build_frame(4, np.hstack([base.matrix,
+                                     rng.standard_normal((4, 6))]).T)
+    u = np.concatenate([fs.decide(base).certificate.u, np.full(6, 1e-17)])
+    r = fs.caratheodory_reduce(f, fs.make_weights(f, u))
+    assert r.support == tuple(range(7))
+    assert r.residual <= 1e-8 * r.alpha
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e6])
+def test_reduce_does_not_depend_on_the_frame_scale(factor):
+    f, w = _strict_4x13(750)
+    scaled = fs.build_frame(4, factor * f.matrix.T)
+    r = fs.caratheodory_reduce(scaled, fs.make_weights(scaled, w.u))
+    assert r.support == fs.caratheodory_reduce(f, w).support
+    assert r.residual <= 1e-8 * r.alpha
 
 
 def test_reduce_dimension_one():

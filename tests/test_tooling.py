@@ -1,8 +1,9 @@
 """Guards for code cuts.  The benchmark's tracer still finds every function
 it wraps, so an API cut that removes a traced name fails here rather than
 at ``--trace 1``; the package keeps no unused module-level import and
-no private top-level definition that nothing references; and every
-committed benchmark record ``BENCH_*.json`` covers every workload with
+no private top-level definition that nothing references; only
+``feasibility`` imports the LP engine ``simplex``; and every committed
+benchmark record ``BENCH_*.json`` covers every workload with
 correct runs that report every end-to-end metric."""
 
 import ast
@@ -89,6 +90,22 @@ def test_every_private_top_level_definition_is_referenced():
                              if d.startswith("_") and not d.startswith("__")
                              and d not in referenced]
     assert not unreferenced
+
+
+def test_only_feasibility_imports_the_lp_engine():
+    importers = set()
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "simplex" for m in modules):
+                importers.add(name)
+    assert importers == {"feasibility.py"}
 
 
 def test_committed_bench_records_cover_every_workload():

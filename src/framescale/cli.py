@@ -7,9 +7,16 @@ and full double precision, so identical input, flags and seed produce
 byte-identical output up to the ``timings`` field, which is excluded from
 comparisons.
 
-Exit codes: 0 success, 2 parse or format error, 3 not a frame,
-4 operation hypothesis violated, 5 enumeration budget exceeded (unknown),
-6 numerical failure (unknown).
+``run`` is the one runner.  It loads the frame file and builds the frame
+(every command but ``random``), calls the command's handler, which
+returns its document as a dict, and writes that document as JSON to
+``--out`` or stdout.  Each command takes only the options it reads.
+
+Exit codes: 0 success, 2 parse or format error (also an unreadable frame
+file, an unwritable ``--out`` and an out-of-range option value), 3 not a
+frame (also ``random`` with more dimensions than vectors), 4 operation
+hypothesis violated, 5 enumeration budget exceeded (unknown), 6 numerical
+failure (unknown).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -58,8 +66,11 @@ class FrameFile:
 
 
 def load_frame_file(path: str) -> FrameFile:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as e:
+        raise FrameFileError(f"cannot read {path}: {e.strerror}") from None
     digest = hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")
@@ -143,10 +154,6 @@ def _floats(arr) -> list:
     return [float(v) for v in np.asarray(arr).ravel()]
 
 
-def _vectors(frame: Frame) -> list:
-    return [_floats(frame.column(k)) for k in range(frame.m)]
-
-
 def _certificate_doc(cert, exact: bool) -> dict:
     if isinstance(cert, ScalingWeights):
         doc = {"type": "weights", "u": _floats(cert.u),
@@ -166,12 +173,15 @@ def _certificate_doc(cert, exact: bool) -> dict:
     return {"type": "none"}
 
 
+def _decide(args, frame: Frame):
+    return decide(frame, mode=args.mode, band=args.band, tol_tight=args.tol)
+
+
 def build_report(ff: FrameFile, frame: Frame, args) -> dict:
     started = time.perf_counter()
     bounds = frame_bounds(frame)
     tight = is_tight(frame, tol=args.tol)
-    verdict = decide(frame, mode=args.mode, band=args.band,
-                     tol_tight=args.tol)
+    verdict = _decide(args, frame)
     dims = outer_dims(frame)
     cond_before = float(np.sqrt(bounds.upper / bounds.lower))
     cond_after = None
@@ -182,7 +192,7 @@ def build_report(ff: FrameFile, frame: Frame, args) -> dict:
         cond_after = float(np.sqrt(sb.upper / sb.lower))
         index_bound = len(
             caratheodory_reduce(frame, verdict.certificate).support)
-    report = {
+    return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "framescale", "version": __version__},
         "input": {"path": ff.path, "sha256": ff.sha256, "n": frame.n,
@@ -205,7 +215,6 @@ def build_report(ff: FrameFile, frame: Frame, args) -> dict:
                                         args.mode == "exact"),
         "timings": {"total_s": time.perf_counter() - started},
     }
-    return report
 
 
 def verify_report(report: dict) -> bool:
@@ -224,36 +233,20 @@ def verify_report(report: dict) -> bool:
     return False
 
 
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _emit(text: str, args, stdout) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        stdout.write(text)
-
-
 def _frame_doc(frame: Frame) -> dict:
-    return {"n": frame.n, "vectors": _vectors(frame)}
+    return {"n": frame.n,
+            "vectors": [_floats(frame.column(k)) for k in range(frame.m)]}
 
 
-def _cmd_analyze(args, stdout) -> int:
-    ff = load_frame_file(args.file)
-    frame = build_frame(ff.n, ff.vectors)
-    report = build_report(ff, frame, args)
-    _emit(_dump(report), args, stdout)
-    return EXIT_OK
+def _cmd_analyze(args, ff: FrameFile, frame: Frame) -> dict:
+    # Looks build_report up on each call, so that a wrapper installed
+    # after the cached parser was built (perfbench's tracer) sees it.
+    return build_report(ff, frame, args)
 
 
-def _cmd_certify(args, stdout) -> int:
-    ff = load_frame_file(args.file)
-    frame = build_frame(ff.n, ff.vectors)
-    verdict = decide(frame, mode=args.mode, band=args.band,
-                     tol_tight=args.tol)
-    doc = {
+def _cmd_certify(args, ff: FrameFile, frame: Frame) -> dict:
+    verdict = _decide(args, frame)
+    return {
         "schema": SCHEMA_VERSION,
         "scalable": verdict.scalable,
         "strict": verdict.strict,
@@ -262,39 +255,26 @@ def _cmd_certify(args, stdout) -> int:
         "certificate": _certificate_doc(verdict.certificate,
                                         args.mode == "exact"),
     }
-    _emit(_dump(doc), args, stdout)
-    return EXIT_OK
 
 
-def _cmd_scale(args, stdout) -> int:
-    ff = load_frame_file(args.file)
-    frame = build_frame(ff.n, ff.vectors)
-    verdict = decide(frame, mode=args.mode, band=args.band,
-                     tol_tight=args.tol)
+def _cmd_scale(args, ff: FrameFile, frame: Frame) -> dict:
+    verdict = _decide(args, frame)
     if not verdict.scalable:
         raise HypothesisViolated("frame is not scalable; nothing to scale")
-    scaled = apply_scaling(frame, verdict.certificate,
-                           parseval=args.parseval)
-    _emit(_dump(_frame_doc(scaled)), args, stdout)
-    return EXIT_OK
+    return _frame_doc(apply_scaling(frame, verdict.certificate,
+                                    parseval=args.parseval))
 
 
-def _cmd_fmap(args, stdout) -> int:
-    ff = load_frame_file(args.file)
-    frame = build_frame(ff.n, ff.vectors)
+def _cmd_fmap(args, ff: FrameFile, frame: Frame) -> dict:
     fi = f_image(frame)
-    doc = {"schema": SCHEMA_VERSION, "n": frame.n, "m": frame.m, "d": fi.d,
-           "columns": [_floats(fi.matrix[:, k]) for k in range(frame.m)]}
-    _emit(_dump(doc), args, stdout)
-    return EXIT_OK
+    return {"schema": SCHEMA_VERSION, "n": frame.n, "m": frame.m, "d": fi.d,
+            "columns": [_floats(fi.matrix[:, k]) for k in range(frame.m)]}
 
 
-def _cmd_subsets(args, stdout) -> int:
-    ff = load_frame_file(args.file)
-    frame = build_frame(ff.n, ff.vectors)
+def _cmd_subsets(args, ff: FrameFile, frame: Frame) -> dict:
     result = is_m_scalable(frame, args.m, strict=args.strict,
                            budget=args.budget, mode=args.mode)
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "m": result.m,
         "strict_requested": args.strict,
@@ -304,16 +284,12 @@ def _cmd_subsets(args, stdout) -> int:
         "weights": (_certificate_doc(result.weights, args.mode == "exact")
                     if result.weights else None),
     }
-    _emit(_dump(doc), args, stdout)
-    return EXIT_OK
 
 
-def _cmd_witness(args, stdout) -> int:
-    ff = load_frame_file(args.file)
-    frame = build_frame(ff.n, ff.vectors)
+def _cmd_witness(args, ff: FrameFile, frame: Frame) -> dict:
     witness = nonscalable_witness(frame, args.eps, seed=args.seed,
                                   mode=args.mode)
-    doc = {
+    return {
         "schema": SCHEMA_VERSION,
         "epsilon": args.eps,
         "seed": args.seed,
@@ -325,72 +301,70 @@ def _cmd_witness(args, stdout) -> int:
         "separator": _certificate_doc(witness.verdict.certificate,
                                       args.mode == "exact"),
     }
-    _emit(_dump(doc), args, stdout)
-    return EXIT_OK
 
 
-def _cmd_random(args, stdout) -> int:
-    frame = random_frame(args.n, args.m, seed=args.seed)
-    _emit(_dump(_frame_doc(frame)), args, stdout)
-    return EXIT_OK
+def _cmd_random(args, ff, frame) -> dict:
+    if args.n > args.m:
+        raise NotAFrame(f"{args.m} vectors cannot span R^{args.n}")
+    return _frame_doc(random_frame(args.n, args.m, seed=args.seed))
 
 
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+        return value
+
+    def positive_float(text: str) -> float:
+        value = float(text)
+        if not 0 < value < math.inf:  # also refuses nan
+            raise argparse.ArgumentTypeError(
+                f"must be positive and finite, got {text}")
+        return value
+
+    options = {
+        "file": {"help": "frame file (.json or .csv)"},
+        "--mode": {"choices": ("float", "exact"), "default": "float"},
+        "--tol": {"type": float, "default": 1e-9,
+                  "help": "relative tightness tolerance"},
+        "--band": {"type": float, "default": 1e-9,
+                   "help": "a float separator whose margin is at most this "
+                           "is a boundary case"},
+        "--seed": {"type": int, "default": 0},
+        "--parseval": {"action": "store_true",
+                       "help": "normalize so the tight constant is 1"},
+        "--m": {"type": int, "required": True},
+        "--strict": {"action": "store_true"},
+        "--budget": {"type": int, "default": 10 ** 6},
+        "--eps": {"type": positive_float, "required": True,
+                  "help": "perturbation radius"},
+        "--n": {"type": positive_int, "required": True},
+        "--out": {"help": "write the report to this path"},
+    }
     parser = argparse.ArgumentParser(
         prog="framescale",
         description="Decide tight-frame rescalability with certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("file", help="frame file (.json or .csv)")
-        p.add_argument("--mode", choices=("float", "exact"), default="float")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="relative tightness tolerance")
-        p.add_argument("--band", type=float, default=1e-9,
-                       help="a float separator whose margin is at most "
-                            "this is a boundary case")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write the report to this path")
-
-    p = sub.add_parser("analyze", help="full scalability report")
-    common(p)
-    p.set_defaults(handler=_cmd_analyze)
-
-    p = sub.add_parser("certify", help="certificate only")
-    common(p)
-    p.set_defaults(handler=_cmd_certify)
-
-    p = sub.add_parser("scale", help="emit the rescaled frame")
-    common(p)
-    p.add_argument("--parseval", action="store_true",
-                   help="normalize so the tight constant is 1")
-    p.set_defaults(handler=_cmd_scale)
-
-    p = sub.add_parser("fmap", help="emit the transformed columns")
-    common(p)
-    p.set_defaults(handler=_cmd_fmap)
-
-    p = sub.add_parser("subsets", help="m-scalability query")
-    common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--budget", type=int, default=10 ** 6)
-    p.set_defaults(handler=_cmd_subsets)
-
-    p = sub.add_parser("witness", help="non-scalable perturbation witness")
-    common(p)
-    p.add_argument("--eps", type=float, required=True,
-                   help="perturbation radius")
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("random", help="generate a seeded frame file")
-    common(p, needs_file=False)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_random)
-
+    for name, handler, help_text, names in (
+            ("analyze", _cmd_analyze, "full scalability report",
+             "file --mode --tol --band --seed"),
+            ("certify", _cmd_certify, "certificate only",
+             "file --mode --tol --band"),
+            ("scale", _cmd_scale, "emit the rescaled frame",
+             "file --mode --tol --band --parseval"),
+            ("fmap", _cmd_fmap, "emit the transformed columns", "file"),
+            ("subsets", _cmd_subsets, "m-scalability query",
+             "file --mode --m --strict --budget"),
+            ("witness", _cmd_witness, "non-scalable perturbation witness",
+             "file --mode --eps --seed"),
+            ("random", _cmd_random, "generate a seeded frame file",
+             "--n --m --seed")):
+        p = sub.add_parser(name, help=help_text)
+        for option in names.split() + ["--out"]:
+            p.add_argument(option, **options[option])
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -399,7 +373,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, stdout)
+        ff = frame = None
+        if args.command != "random":
+            ff = load_frame_file(args.file)
+            frame = build_frame(ff.n, ff.vectors)
+        text = json.dumps(args.handler(args, ff, frame), sort_keys=True,
+                          indent=2) + "\n"
     except FrameFileError as e:
         stderr.write(f"error: {e}\n")
         return EXIT_PARSE
@@ -416,6 +395,16 @@ def run(argv, stdout=None, stderr=None) -> int:
             WitnessVerificationFailed) as e:
         stderr.write(f"error: numerical failure, result unknown: {e}\n")
         return EXIT_NUMERICAL
+    if not args.out:
+        stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        stderr.write(f"error: cannot write {args.out}: {e.strerror}\n")
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def main() -> None:

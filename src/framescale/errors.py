@@ -72,7 +72,8 @@ class WitnessVerificationFailed(FrameScaleError):
 
 
 class FrameFileError(FrameScaleError):
-    """A frame file could not be parsed; carries a location when known."""
+    """A frame file could not be read or parsed; carries a location when
+    known."""
 
     def __init__(self, message, line=None, field=None):
         loc = ""

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -16,6 +17,16 @@ def run_cli(argv):
     err = io.StringIO()
     code = cli.run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv):
+    from conftest import SRC
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "framescale.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 @pytest.fixture
@@ -61,6 +72,78 @@ def test_parser_is_built_once_and_keeps_no_options(mercedes_file):
     second = parser.parse_args(["analyze", mercedes_file])
     assert (first.mode, first.strict) == ("exact", True)
     assert second.mode == "float" and not hasattr(second, "strict")
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    taken = {name: [a.option_strings[0] if a.option_strings else a.dest
+                    for a in p._actions if a.dest != "help"]
+             for name, p in subparsers.choices.items()}
+    assert taken == {
+        "analyze": ["file", "--mode", "--tol", "--band", "--seed", "--out"],
+        "certify": ["file", "--mode", "--tol", "--band", "--out"],
+        "scale": ["file", "--mode", "--tol", "--band", "--parseval",
+                  "--out"],
+        "fmap": ["file", "--out"],
+        "subsets": ["file", "--mode", "--m", "--strict", "--budget",
+                    "--out"],
+        "witness": ["file", "--mode", "--eps", "--seed", "--out"],
+        "random": ["--n", "--m", "--seed", "--out"],
+    }
+    assert sum(map(len, taken.values())) == 34
+
+
+def command_argv(command, **paths):
+    return [token.format(**paths) for token in command.split()]
+
+
+@pytest.mark.parametrize("command", [
+    "analyze {tmp}/missing.json",
+    "certify {tmp}",
+    "fmap {tmp}/missing.csv",
+    "analyze {frame} --out {tmp}/no-such-dir/report.json",
+    "random --n 2 --m 3 --out {tmp}/no-such-dir/frame.json",
+], ids=["missing-file", "directory", "missing-csv", "out-into-missing-dir",
+        "random-out-into-missing-dir"])
+def test_unreadable_input_or_unwritable_out_exits_2(tmp_path, mercedes_file,
+                                                    command):
+    code, out, err = run_cli(command_argv(command, tmp=tmp_path,
+                                          frame=mercedes_file))
+    assert code == cli.EXIT_PARSE
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("random --n 0 --m 5", cli.EXIT_PARSE),
+    ("random --n -1 --m 5", cli.EXIT_PARSE),
+    ("random --n 3 --m 2", cli.EXIT_NOT_A_FRAME),
+    ("witness {frame} --eps -1", cli.EXIT_PARSE),
+    ("witness {frame} --eps 0", cli.EXIT_PARSE),
+    ("witness {frame} --eps nan", cli.EXIT_PARSE),
+    ("witness {frame} --eps inf", cli.EXIT_PARSE),
+], ids=["n-0", "n-negative", "n-above-m", "eps-negative", "eps-0", "eps-nan",
+        "eps-inf"])
+def test_out_of_range_option_values_exit_cleanly(mercedes_file, capsys,
+                                                 command, expected):
+    # argparse refuses a value that is wrong in itself with a usage line
+    # and one error line; run reports the rest with one error line.
+    try:
+        code, out, err = run_cli(command_argv(command, frame=mercedes_file))
+    except SystemExit as e:
+        code, out, err = e.code, *capsys.readouterr()
+    assert code == expected
+    assert out == "" and "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == err.splitlines()[-1:]
+
+
+def test_missing_file_as_script_exits_2_without_traceback(tmp_path):
+    proc = run_module("analyze", str(tmp_path / "missing.json"))
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot read ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_invalid_json_exits_2(tmp_path):
@@ -165,7 +248,9 @@ def test_every_command_on_dimension_one(tmp_path, command, mode):
     path = tmp_path / "line.json"
     path.write_text(json.dumps({"n": 1, "vectors": [[2.0], [-1.0], [3.0]]}))
     name, *flags = command.split()
-    code, out, err = run_cli([name, str(path), *flags, "--mode", mode])
+    if name != "fmap":  # the only command here that reads no --mode
+        flags += ["--mode", mode]
+    code, out, err = run_cli([name, str(path), *flags])
     if name == "witness":
         assert code == cli.EXIT_HYPOTHESIS
         assert err.startswith("error: ") and not out
@@ -310,14 +395,7 @@ def test_numerical_failure_exits_6(mercedes_file, monkeypatch, command,
 
 
 def test_module_runs_as_script():
-    from conftest import SRC
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "framescale.cli", "random", "--n", "2",
-         "--m", "3", "--seed", "0"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = run_module("random", "--n", "2", "--m", "3", "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["n"] == 2 and len(doc["vectors"]) == 3

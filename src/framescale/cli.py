@@ -311,11 +311,14 @@ def _cmd_random(args, ff, frame) -> dict:
 
 @functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
-    def positive_int(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-        return value
+    def at_least(least: int):
+        def integer(text: str) -> int:
+            value = int(text)
+            if value < least:
+                raise argparse.ArgumentTypeError(
+                    f"must be at least {least}, got {text}")
+            return value
+        return integer
 
     def positive_float(text: str) -> float:
         value = float(text)
@@ -327,20 +330,20 @@ def _build_parser() -> argparse.ArgumentParser:
     options = {
         "file": {"help": "frame file (.json or .csv)"},
         "--mode": {"choices": ("float", "exact"), "default": "float"},
-        "--tol": {"type": float, "default": 1e-9,
+        "--tol": {"type": positive_float, "default": 1e-9,
                   "help": "relative tightness tolerance"},
-        "--band": {"type": float, "default": 1e-9,
+        "--band": {"type": positive_float, "default": 1e-9,
                    "help": "a float separator whose margin is at most this "
                            "is a boundary case"},
-        "--seed": {"type": int, "default": 0},
+        "--seed": {"type": at_least(0), "default": 0},
         "--parseval": {"action": "store_true",
                        "help": "normalize so the tight constant is 1"},
         "--m": {"type": int, "required": True},
         "--strict": {"action": "store_true"},
-        "--budget": {"type": int, "default": 10 ** 6},
+        "--budget": {"type": at_least(0), "default": 10 ** 6},
         "--eps": {"type": positive_float, "required": True,
                   "help": "perturbation radius"},
-        "--n": {"type": positive_int, "required": True},
+        "--n": {"type": at_least(1), "required": True},
         "--out": {"help": "write the report to this path"},
     }
     parser = argparse.ArgumentParser(

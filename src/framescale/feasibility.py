@@ -19,13 +19,17 @@ columns at the origin, mu is the only point of {F u = 0, sum u = 1}, and
 when mu >= 0 the weight polytope is {mu}, with no LP.  For more than
 d + 1 columns with mu > 0, the constructive step of Caratheodory's
 theorem, ``_caratheodory_push``, which ``subsets.caratheodory_reduce``
-shares, moves mu along the kernel onto d + 1 columns, a feasible basis of
-the program, and phase 2 runs from there to the optimum s*.  Otherwise
-Wolfe's minimum-norm-point algorithm (Math. Prog. 11, 1976) runs on the
-columns.  A point x of their hull with min_k <x, F(phi_k)> > 0 is the
-separator, and no LP runs.  When x reaches the origin, Wolfe's corral of
-d + 1 columns is a feasible basis too, and phase 2 runs from it.  Either
-basis only sets where phase 2 starts, not s*.  Otherwise the program runs
+shares, moves mu along the kernel onto d + 1 columns, and phase 2 runs
+from there to the optimum s*.  Otherwise Wolfe's minimum-norm-point
+algorithm (Math. Prog. 11, 1976) runs on the columns.  A point x of their
+hull with min_k <x, F(phi_k)> > 0 is the separator, and no LP runs.  When
+x reaches the origin, phase 2 runs from Wolfe's corral.  Both enter
+phase 2 through ``_phase_2``: by Caratheodory's theorem a point of the
+weight polytope on at most d + 1 columns is a vertex, a basic feasible
+solution, once the lowest-index columns outside complete those columns
+to d + 1 with weight 0, and the basis is used when it is well conditioned
+and feasible.  The basis only sets where phase 2 starts, not s*.
+Otherwise the program runs
 as a two-phase simplex: its phase 1 is phase 1 on the weight polytope
 {F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the Farkas
 duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is the
@@ -56,8 +60,7 @@ from .errors import (DimensionTooSmall, Infeasible, LPNumericalFailure,
                      NotStrictlyScalable, TooLarge, ZeroColumn)
 from .fmap import FImage, f_image, f_vector
 from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
-                     _frozen, _rank_of_singular_values, make_weights,
-                     numerical_rank)
+                     _frozen, make_weights, numerical_rank)
 
 DEFAULT_BOUNDARY_BAND = 1e-9
 DEFAULT_STRICT_THRESHOLD = 1e-10
@@ -333,11 +336,11 @@ def _least_norm(g: np.ndarray) -> WeightProgram | None:
     weight of mu at most ``WOLFE_POS_TOL`` declines at once (on every frame
     that is not scalable, and on many that are).  A positive mu lies in the
     weight polytope, and ``_caratheodory_push`` moves it onto d + 1
-    columns along the kernel of [g; 1'], which the QR factors of [g; 1']'
-    span.  Phase 2 starts from the basis of those columns.  None when
-    [g; 1'] has rank below d + 1 (by the threshold of ``numerical_rank``),
-    when a weight of the basis ends at most ``WOLFE_POS_TOL``, or when
-    ``_wolfe_basis`` refuses the basis.
+    columns along the kernel of [g; 1'], in which the trailing k - d - 1
+    columns of the complete QR factor of [g; 1]' lie.  ``_phase_2`` starts
+    from those columns.  None when a weight of the basis ends at most
+    ``WOLFE_POS_TOL``, or when ``_phase_2`` refuses the basis, as it does
+    a singular one when [g; 1'] has rank below d + 1.
     """
     d, k = g.shape
     if k > d + 1:
@@ -370,45 +373,46 @@ def _least_norm(g: np.ndarray) -> WeightProgram | None:
         return WeightProgram(u, np.min(u), None, "least-norm weights")
     u = w / np.sum(w)
     a = np.vstack([g / np.sqrt(scale), np.ones(k)])
-    # a' = Q R: R has the singular values of a, and the last k - d - 1
-    # columns of Q span its kernel when the rank is d + 1.
-    q, tri = np.linalg.qr(a.T, mode="complete")
-    sv = np.linalg.svd(tri[:d + 1], compute_uv=False)
-    if _rank_of_singular_values(sv, a.shape) != d + 1:
-        return None
+    # a' = Q R: the last k - d - 1 columns of Q lie in the kernel of a.
+    q = np.linalg.qr(a.T, mode="complete")[0]
     corral = _caratheodory_push(u, q[:, d + 1:].T)
     if corral is None or np.min(u[corral]) <= WOLFE_POS_TOL:
         return None
+    return _phase_2(g, corral, "least-norm basis and phase 2")[0]
+
+
+def _phase_2(g: np.ndarray, corral: list, route: str):
+    """Phase 2 of the max-min-weight program on float columns g, started
+    from a corral of at most d + 1 columns that carries a point of the
+    weight polytope: Wolfe's at the origin, or the least-norm one
+    (``_least_norm``).  Returns the result and None, or None and the reason
+    the corral gives no feasible basis.  This is the only way into phase 2
+    from a basis.
+
+    A corral of r < d + 1 columns is completed with the d + 1 - r
+    lowest-index columns outside it.  They carry weight 0, so the corral's
+    point is a basic feasible solution on the completed basis B.  One
+    inverse of B gives its condition number (in the 1-norm), its
+    feasibility and the canonical form B^-1 (A, b), with the identity on
+    B's columns.  Past ``WOLFE_MAX_COND`` B counts as singular: so it does
+    when [g; 1'] has rank below d + 1, or when the completing columns are
+    dependent on the corral's."""
     a, b, c = _program(g)
-    a, b, why = _wolfe_basis(a, b, corral)
-    if why is not None:
-        return None
-    return _solve_program(a, b, c, corral, "least-norm basis and phase 2")
-
-
-def _wolfe_basis(a: np.ndarray, b: np.ndarray, corral: list):
-    """The max-min-weight program A x = b in canonical form on a corral of
-    columns that carries a point of the weight polytope, B^-1 (A, b) with
-    the identity on the corral's columns, and None; or (A, b) unchanged
-    and the reason the corral is no feasible basis.  The corral is Wolfe's
-    at the origin or the least-norm one (``_least_norm``).  One
-    inverse of the corral basis B gives its condition number (in the
-    1-norm), its feasibility and the canonical form."""
-    d = a.shape[0] - 1
-    if len(corral) < d + 1:
-        return a, b, f"corral of {len(corral)} < d + 1 = {d + 1} columns"
-    basis = a[:, corral]
+    d, k = g.shape
+    basis = (corral + np.delete(np.arange(k), corral).tolist())[:d + 1]
+    square = a[:, basis]
     try:
-        binv = np.linalg.inv(basis)
+        binv = np.linalg.inv(square)
     except np.linalg.LinAlgError:
-        return a, b, "singular corral basis"
-    if np.linalg.norm(basis, 1) * np.linalg.norm(binv, 1) > WOLFE_MAX_COND:
-        return a, b, "singular corral basis"
+        return None, "singular corral basis"
+    if np.linalg.norm(square, 1) * np.linalg.norm(binv, 1) > WOLFE_MAX_COND:
+        return None, "singular corral basis"
     t = binv @ np.column_stack([a, b])
     if np.min(t[:, -1]) < -simplex.DEFAULT_FEAS_TOL:
-        return a, b, "infeasible corral basis"
-    t[:, corral] = np.eye(d + 1)
-    return t[:, :-1], np.maximum(t[:, -1], 0.0), None
+        return None, "infeasible corral basis"
+    t[:, basis] = np.eye(d + 1)
+    return _solve_program(t[:, :-1], np.maximum(t[:, -1], 0.0), c, basis,
+                          route), None
 
 
 def _program(g: np.ndarray):
@@ -436,9 +440,10 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     k <= d + 1 columns as u with s* = min u and no LP, and positive ones of
     more columns, reduced to d + 1 columns, start phase 2 with no Wolfe
     cycle.  When they decide nothing, Wolfe's algorithm runs.  A separating
-    point is returned as h, with no LP; a corral at the origin that is a
-    feasible basis starts phase 2.  Either basis only picks where phase 2
-    starts, so s* is the same LP optimum.  Otherwise, and always over
+    point is returned as h, with no LP; a corral at the origin starts phase
+    2, completed to d + 1 columns when it is shorter, unless ``_phase_2``
+    refuses its basis.  The basis only picks where phase 2 starts, so s* is
+    the same LP optimum.  Otherwise, and always over
     ``Fraction`` columns, the two-phase simplex runs, and an empty weight
     polytope gives the separator h from the Farkas duals.  A scalable
     result carries u, the last basic point, and s*, ``None`` when phase 2
@@ -459,14 +464,13 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
         cycles += f" ({w.refreshes} fresh K^-1)"
     if w.stop == "separator":
         return WeightProgram(None, None, w.x, f"Wolfe separator after {cycles}")
-    a, b, c = _program(g)
     why = f"Wolfe {w.stop}"
     if w.stop == "zero":
-        a, b, why = _wolfe_basis(a, b, w.corral)
-    if why is None:
-        return _solve_program(a, b, c, w.corral,
-                              f"Wolfe basis and phase 2 after {cycles}")
-    return _solve_program(a, b, c, None,
+        prog, why = _phase_2(g, w.corral,
+                             f"Wolfe basis and phase 2 after {cycles}")
+        if why is None:
+            return prog
+    return _solve_program(*_program(g), None,
                           f"two-phase fallback ({why}) after {cycles}")
 
 
@@ -610,8 +614,10 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     weights of at most d + 1 columns with no LP, or, when positive on more
     columns, d + 1 of them that start phase 2 of the max-min-weight program
     with no Wolfe cycle; otherwise Wolfe's minimum-norm-point algorithm
-    either returns the separator or starts phase 2; the two-phase LP of
-    mode ``"exact"`` is the fallback.  Only the active columns are transformed.  A float
+    either returns the separator or starts phase 2 from its corral at the
+    origin, completed to d + 1 columns; the two-phase LP of mode
+    ``"exact"`` is the fallback when that basis is singular or infeasible,
+    or Wolfe stops short.  Only the active columns are transformed.  A float
     separator whose re-verified margin is at most ``band``, and a float
     certificate that fails its re-check, are re-decided through the exact
     LP when the subset has at most ``EXACT_CAP`` active columns; the

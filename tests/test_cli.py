@@ -122,8 +122,18 @@ def test_unreadable_input_or_unwritable_out_exits_2(tmp_path, mercedes_file,
     ("witness {frame} --eps 0", cli.EXIT_PARSE),
     ("witness {frame} --eps nan", cli.EXIT_PARSE),
     ("witness {frame} --eps inf", cli.EXIT_PARSE),
+    ("random --n 2 --m 3 --seed -1", cli.EXIT_PARSE),
+    ("witness {frame} --eps 0.1 --seed -1", cli.EXIT_PARSE),
+    ("analyze {frame} --seed -1", cli.EXIT_PARSE),
+    ("analyze {frame} --tol nan", cli.EXIT_PARSE),
+    ("certify {frame} --tol -1", cli.EXIT_PARSE),
+    ("analyze {frame} --band nan", cli.EXIT_PARSE),
+    ("scale {frame} --band -1", cli.EXIT_PARSE),
+    ("subsets {frame} --m 2 --budget -1", cli.EXIT_PARSE),
 ], ids=["n-0", "n-negative", "n-above-m", "eps-negative", "eps-0", "eps-nan",
-        "eps-inf"])
+        "eps-inf", "random-seed-negative", "witness-seed-negative",
+        "analyze-seed-negative", "tol-nan", "tol-negative", "band-nan",
+        "band-negative", "budget-negative"])
 def test_out_of_range_option_values_exit_cleanly(mercedes_file, capsys,
                                                  command, expected):
     # argparse refuses a value that is wrong in itself with a usage line

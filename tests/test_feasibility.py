@@ -259,6 +259,13 @@ def _two_onbs():
     return fs.build_frame(2, [(1, 0), (0, 1), (r, r), (r, -r)])
 
 
+def _twin_columns():
+    """An orthonormal basis of R^2 with its first vector repeated: Wolfe
+    reaches the origin on a corral of one twin and (0, 1), and the twin
+    left out completes it to a singular basis."""
+    return fs.build_frame(2, [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+
+
 @pytest.mark.parametrize("mode", ["float", "exact"])
 @pytest.mark.parametrize("error", [fs.LPNumericalFailure, fs.Infeasible])
 def test_strict_lp_failure_keeps_verified_weights(mercedes, monkeypatch,
@@ -429,8 +436,9 @@ def test_stalled_wolfe_falls_back_to_the_two_phase_lp(
 def test_decide_logs_one_record_naming_its_route(quadrant, mercedes, caplog):
     cases = [(quadrant, 1e-9, "Wolfe separator"),
              (_wolfe_basis_frame(), 1e-9, "Wolfe basis and phase 2"),
-             (_two_onbs(), 1e-9,
-              "two-phase fallback (corral of 2 < d + 1 = 3"),
+             (_two_onbs(), 1e-9, "Wolfe basis and phase 2"),
+             (_twin_columns(), 1e-9,
+              "two-phase fallback (singular corral basis)"),
              (quadrant, 0.5, "within the band, so exact: two-phase, exact")]
     for frame, band, route in cases:
         caplog.clear()
@@ -451,8 +459,10 @@ def test_decide_logs_one_record_naming_its_route(quadrant, mercedes, caplog):
 def test_route_record_names_pivots_and_phase(mercedes, caplog):
     cases = [(_wolfe_basis_frame(), "float", r"Wolfe basis and phase 2 .*; "
               r"phase 2: (\d+) pivots, 0 under Bland's guard$"),
-             (_two_onbs(), "float", r"two-phase fallback .*; both phases: "
-              r"(\d+) pivots, 0 under Bland's guard$"),
+             (_two_onbs(), "float", r"Wolfe basis and phase 2 .*; "
+              r"phase 2: (\d+) pivots, 0 under Bland's guard$"),
+             (_twin_columns(), "float", r"two-phase fallback .*; both "
+              r"phases: (\d+) pivots, 0 under Bland's guard$"),
              (mercedes, "exact", r"; both phases: (\d+) pivots, 0 under "
               r"Bland's guard$")]
     for frame, mode, pattern in cases:
@@ -469,6 +479,28 @@ def test_route_record_names_pivots_and_phase(mercedes, caplog):
     assert "fresh K^-1" not in record.getMessage()
     assert int(re.search(r"phase 2: (\d+) pivots", record.getMessage())
                .group(1)) > 0
+
+
+def _planted_4x13(seed):
+    """A scalable 4 x 5 subframe and 8 Gaussian columns: scalable, not
+    strictly, and Wolfe reaches the origin on a corral of fewer than
+    d + 1 = 10 columns."""
+    rng = np.random.default_rng(seed)
+    sub = random_scalable_frame(rng, 4, 5).matrix
+    return fs.build_frame(4, np.hstack([sub, rng.standard_normal((4, 8))]).T)
+
+
+@pytest.mark.parametrize("frame", [_two_onbs(), _planted_4x13(0)],
+                         ids=["two-onbs", "planted-4x13"])
+def test_short_corral_is_completed_to_a_basis(frame, monkeypatch, caplog):
+    v, route = _route_of(frame, caplog)
+    assert "Wolfe basis and phase 2" in route and "both phases" not in route
+    assert v.scalable and v.certificate.verify(frame)
+    monkeypatch.setattr(feasibility, "_least_norm", lambda g: None)
+    monkeypatch.setattr(feasibility, "_wolfe", _stalled_wolfe)
+    two_phase = fs.decide(frame)
+    assert v.strict == two_phase.strict
+    assert abs(v.s_star - two_phase.s_star) <= 1e-12
 
 
 def test_decide_separates_random_20x400_frame(monkeypatch):
@@ -587,17 +619,38 @@ def test_infeasible_corral_basis_falls_back_to_two_phases(monkeypatch,
     assert not v.scalable and v.certificate.verify(fs.f_image(f)) > 0.0
 
 
-def test_wolfe_basis_puts_the_program_in_canonical_form(mercedes):
+def _started_program(monkeypatch, g, corral):
+    """What ``_phase_2`` hands the simplex: (t, e, c, basis, route)."""
+    started = []
+    monkeypatch.setattr(feasibility, "_solve_program",
+                        lambda *args: started.append(args) or "result")
+    assert feasibility._phase_2(g, corral, "route") == ("result", None)
+    [args] = started
+    return args
+
+
+def test_phase_2_starts_from_the_program_in_canonical_form(mercedes,
+                                                          monkeypatch):
     g = fs.f_image(mercedes).matrix
-    a, b, _ = feasibility._program(g)
     w = feasibility._wolfe(g)
-    t, e, why = feasibility._wolfe_basis(a, b, w.corral)
-    assert why is None
+    t, e, _, basis, _ = _started_program(monkeypatch, g, w.corral)
+    assert basis == w.corral
     # B^-1 (A, b) with B = A on the corral: the uniform weights, which
     # solve A u = b with s = 0, solve t u = e too.
     np.testing.assert_array_equal(t[:, w.corral], np.eye(3))
     np.testing.assert_allclose(t[:, :3] @ np.full(3, 1 / 3), e, atol=1e-12)
     assert np.all(e >= 0.0)
+
+
+def test_phase_2_completes_a_short_corral_without_changing_it(monkeypatch):
+    # (1, 0) and (0, 1) carry the origin of F's image; the lowest-index
+    # column outside that corral completes it, with weight 0.
+    g = fs.f_image(_two_onbs()).matrix
+    corral = [1, 0]
+    t, e, _, basis, _ = _started_program(monkeypatch, g, corral)
+    assert corral == [1, 0] and basis == [1, 0, 2]
+    np.testing.assert_array_equal(t[:, basis], np.eye(3))
+    np.testing.assert_allclose(e, [0.5, 0.5, 0.0], atol=1e-15)
 
 
 def _route_of(frame, caplog, **kwargs):
@@ -729,15 +782,15 @@ def test_refused_least_norm_basis_falls_back_to_wolfe(monkeypatch, caplog):
     # swapped for columns 0-2, and the second basis checked is Wolfe's.
     f = _at_angles(10, 20, 30, 70, 130)
     assert "least-norm basis and phase 2" in _route_of(f, caplog)[1]
-    a, b, _ = feasibility._program(fs.f_image(f).matrix)
-    real, corrals = feasibility._wolfe_basis, []
-    assert real(a, b, [0, 1, 2])[2] == "infeasible corral basis"
+    g = fs.f_image(f).matrix
+    real, corrals = feasibility._phase_2, []
+    assert real(g, [0, 1, 2], "route") == (None, "infeasible corral basis")
 
-    def first_basis_infeasible(a, b, corral):
+    def first_basis_infeasible(g, corral, route):
         corrals.append(corral)
-        return real(a, b, [0, 1, 2] if len(corrals) == 1 else corral)
+        return real(g, [0, 1, 2] if len(corrals) == 1 else corral, route)
 
-    monkeypatch.setattr(feasibility, "_wolfe_basis", first_basis_infeasible)
+    monkeypatch.setattr(feasibility, "_phase_2", first_basis_infeasible)
     v, route = _route_of(f, caplog)
     assert len(corrals) == 2
     assert "Wolfe basis and phase 2" in route and "both phases" not in route

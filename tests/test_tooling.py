@@ -2,7 +2,8 @@
 it wraps, so an API cut that removes a traced name fails here rather than
 at ``--trace 1``; the package keeps no unused module-level import and
 no private top-level definition that nothing references; only
-``feasibility`` imports the LP engine ``simplex``; and every committed
+``feasibility`` imports the LP engine ``simplex``; one function starts
+phase 2 from a basis; and every committed
 benchmark record ``BENCH_*.json`` covers every workload with
 correct runs that report every end-to-end metric."""
 
@@ -106,6 +107,29 @@ def test_only_feasibility_imports_the_lp_engine():
             if any(m.split(".")[-1] == "simplex" for m in modules):
                 importers.add(name)
     assert importers == {"feasibility.py"}
+
+
+def test_one_function_starts_phase_2_from_a_basis():
+    # _solve_program(a, b, c, basis, route) runs phase 2 alone when it is
+    # given a basis; (*_program(g), None, route) spreads (a, b, c).
+    starters = []
+    for name, tree in parsed_modules().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id == "_solve_program"):
+                    continue
+                spread = isinstance(call.args[0], ast.Starred)
+                basis = [kw.value for kw in call.keywords
+                         if kw.arg == "basis"]
+                basis += call.args[1 if spread else 3:][:1]
+                if not (isinstance(basis[0], ast.Constant)
+                        and basis[0].value is None):
+                    starters.append(f"{name}: {func.name}")
+    assert starters == ["feasibility.py: _phase_2"]
 
 
 def test_committed_bench_records_cover_every_workload():

@@ -11,6 +11,9 @@ comparisons.
 (every command but ``random``), calls the command's handler, which
 returns its document as a dict, and writes that document as JSON to
 ``--out`` or stdout.  Each command takes only the options it reads.
+Reports are ``schema`` 2, whose ``flags`` record ``mode``, ``tol`` and
+``seed``.  The boundary band of a float separator's margin is no option:
+it is ``feasibility.DEFAULT_BOUNDARY_BAND``, as in ``decide``.
 
 Exit codes: 0 success, 2 parse or format error (also an unreadable frame
 file, an unwritable ``--out`` and an out-of-range option value), 3 not a
@@ -42,11 +45,11 @@ from .errors import (BudgetExceeded, DimensionMismatch, FrameFileError,
 from .fmap import f_image, outer_dims
 from .frames import (Frame, ScalingWeights, apply_scaling, build_frame,
                      frame_bounds, is_tight, make_weights)
-from .feasibility import Separator, decide
+from .feasibility import Separator, decide, separator_margin
 from .subsets import caratheodory_reduce, is_m_scalable
 from .topology import nonscalable_witness, random_frame
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -174,7 +177,7 @@ def _certificate_doc(cert, exact: bool) -> dict:
 
 
 def _decide(args, frame: Frame):
-    return decide(frame, mode=args.mode, band=args.band, tol_tight=args.tol)
+    return decide(frame, mode=args.mode, tol_tight=args.tol)
 
 
 def build_report(ff: FrameFile, frame: Frame, args) -> dict:
@@ -197,8 +200,7 @@ def build_report(ff: FrameFile, frame: Frame, args) -> dict:
         "tool": {"name": "framescale", "version": __version__},
         "input": {"path": ff.path, "sha256": ff.sha256, "n": frame.n,
                   "m": frame.m, "vectors": ff.vectors, "labels": ff.labels},
-        "flags": {"mode": args.mode, "tol": args.tol, "band": args.band,
-                  "seed": args.seed},
+        "flags": {"mode": args.mode, "tol": args.tol, "seed": args.seed},
         "frame_bounds": {"lower": bounds.lower, "upper": bounds.upper},
         "tightness": {"tight": tight.tight, "residual": tight.residual,
                       "alpha": tight.alpha},
@@ -226,10 +228,8 @@ def verify_report(report: dict) -> bool:
         w = make_weights(frame, np.array(cert["u"]), normalize=False)
         return w.residual <= tol * w.alpha
     if cert["type"] == "separator":
-        h = np.array(cert["h"])
         g = f_image(frame).columns(cert["indices"])
-        margin = float(np.min(h @ g) / np.max(np.abs(h)))
-        return margin > 0.0
+        return bool(separator_margin(np.array(cert["h"]), g) > 0.0)
     return False
 
 
@@ -332,9 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode": {"choices": ("float", "exact"), "default": "float"},
         "--tol": {"type": positive_float, "default": 1e-9,
                   "help": "relative tightness tolerance"},
-        "--band": {"type": positive_float, "default": 1e-9,
-                   "help": "a float separator whose margin is at most this "
-                           "is a boundary case"},
         "--seed": {"type": at_least(0), "default": 0},
         "--parseval": {"action": "store_true",
                        "help": "normalize so the tight constant is 1"},
@@ -352,11 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler, help_text, names in (
             ("analyze", _cmd_analyze, "full scalability report",
-             "file --mode --tol --band --seed"),
+             "file --mode --tol --seed"),
             ("certify", _cmd_certify, "certificate only",
-             "file --mode --tol --band"),
+             "file --mode --tol"),
             ("scale", _cmd_scale, "emit the rescaled frame",
-             "file --mode --tol --band --parseval"),
+             "file --mode --tol --parseval"),
             ("fmap", _cmd_fmap, "emit the transformed columns", "file"),
             ("subsets", _cmd_subsets, "m-scalability query",
              "file --mode --m --strict --budget"),

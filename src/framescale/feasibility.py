@@ -33,13 +33,20 @@ Otherwise the program runs
 as a two-phase simplex: its phase 1 is phase 1 on the weight polytope
 {F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the Farkas
 duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is the
-separator.  The phase-2 point is the weights certificate, strict when s*
-clears a threshold and a basic point with support at most d + 1 when
-s* = 0.  Both certificates are re-checked before they are returned.
+separator.  The phase-2 point is the weights certificate.
+Mode ``"exact"`` runs the two-phase program with rational pivots.
 
-Mode ``"exact"`` runs the two-phase program with rational pivots.  Float
-separators whose re-verified margin falls inside a small band are flagged
-and re-decided that way when at most ``EXACT_CAP`` columns are active.
+Each certificate rule is stated once, here:
+
+- a weight at most ``WOLFE_POS_TOL`` counts as zero in float mode, and
+  s* is strict above it (above 0 in exact mode).  A float s* at most it
+  leaves the weights on the phase-2 vertex, with support at most d + 1;
+- weights are re-checked on the frame, tight to ``tol_tight`` alpha;
+- a separator h is re-checked by its margin, min_k <h, F(phi_k)> at
+  |h|_inf = 1 (``separator_margin``).  A float separator whose margin is
+  at most ``DEFAULT_BOUNDARY_BAND`` is flagged, and re-decided in exact
+  mode when at most ``EXACT_CAP`` columns are active.
+
 ``separator_search`` runs Wolfe's algorithm on to the minimum-norm point,
 the separator of largest margin at |h|_2 = 1 (Wolfe's algorithm is the
 only separator engine), for callers that want the best margin;
@@ -62,14 +69,16 @@ from .fmap import FImage, f_image, f_vector
 from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
                      _frozen, make_weights, numerical_rank)
 
-DEFAULT_BOUNDARY_BAND = 1e-9
-DEFAULT_STRICT_THRESHOLD = 1e-10
+DEFAULT_BOUNDARY_BAND = 1e-9  # a float separator's margin must clear this
 EXACT_CAP = 12  # most active columns an exact escalation is tried on
 
 # Wolfe's tolerances (his Z1-Z3), relative to the largest squared column
 # norm except for the weights, which sum to 1.
 WOLFE_OPT_TOL = 1e-12    # x is the minimum-norm point: <x, g_j> >= |x|^2 - tol
-WOLFE_POS_TOL = 1e-10    # an affine weight at most this leaves the corral
+# A float weight at most this is zero: it leaves Wolfe's corral, declines
+# the least-norm weights and the reduced support, and an s* at most this
+# is not strict.
+WOLFE_POS_TOL = 1e-10
 WOLFE_ZERO_TOL = 1e-20   # x is the origin: |x|^2 <= tol
 WOLFE_MAX_MAJOR = 5      # major cycles per column before Wolfe gives up
 WOLFE_MAX_COND = 1e12    # a corral basis above this condition is singular
@@ -97,20 +106,27 @@ class Separator:
     margin_exact: object | None = field(default=None, compare=False)
 
     def verify(self, fi: FImage) -> float:
-        """Recompute the margin (min product against |h|_inf = 1)."""
-        g = fi.columns(self.indices)
-        scale = float(np.max(np.abs(self.h)))
-        return float(np.min(self.h @ g) / scale)
+        """Recompute the margin (``separator_margin``)."""
+        return float(separator_margin(self.h, fi.columns(self.indices)))
+
+
+def separator_margin(h: np.ndarray, g: np.ndarray):
+    """The margin min_k <h, g_k> of the direction h on the columns g, with
+    h scaled to |h|_inf = 1 first, over floats or ``Fraction``s: h
+    separates exactly when it is positive.  Every separator is checked by
+    this margin."""
+    return np.min(h / np.max(np.abs(h)) @ g)
 
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of ``decide``.
 
-    ``t_star`` is the re-verified margin of the separator on non-scalable
-    verdicts and 0.0 on scalable ones.  A float separator is the point
-    x = F mu of the least-norm weights mu of k <= d columns, the point of
-    their affine hull nearest the origin, with margin |x|^2 / |x|_inf; or
+    ``t_star`` is the re-verified margin of the separator
+    (``separator_margin``) on non-scalable verdicts and 0.0 on scalable
+    ones.  A float separator is the point x = F mu of the least-norm
+    weights mu of k <= d columns, the point of their affine hull nearest
+    the origin, with margin |x|^2 / |x|_inf; or
     Wolfe's point, taken once its margin at |h|_inf = 1 clears
     ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm point; or the Farkas
     one when the two-phase fallback runs.  So t* is a certified margin but
@@ -122,7 +138,11 @@ class Verdict:
     min mu when the least-norm weights mu are the whole weight polytope;
     ``None`` there means that phase 2 did not reach its optimum, so
     strictness was not determined (``strict`` is False then and the
-    weights are its last, verified point).
+    weights are its last, verified point).  A float s* at most
+    ``WOLFE_POS_TOL`` is not strict, and its weights are the phase-2
+    vertex, on at most d + 1 columns.  ``boundary_flag`` marks a float
+    separator whose margin is at most ``DEFAULT_BOUNDARY_BAND``, and a
+    float certificate that failed its re-check.
     """
 
     scalable: bool
@@ -203,9 +223,10 @@ def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
     ``stop`` says why it ended:
 
     - "separator": min_k <x, g_k> > 0, and either that margin at
-      |x|_inf = 1 clears ``band`` or x is the minimum-norm point, the
-      direction of the largest margin at |x|_2 = 1 (``band=None`` runs
-      on to it);
+      |x|_inf = 1 clears ``band``, by default ``DEFAULT_BOUNDARY_BAND``,
+      the band of ``decide``, or x is the minimum-norm point, the
+      direction of the largest margin at |x|_2 = 1 (``separator_search``
+      passes ``band=None`` to run on to it);
     - "zero": x is the origin up to rounding, so the corral carries a
       point of the weight polytope (at once when d = 0);
     - "stalled": the entering column is already in the corral;
@@ -485,12 +506,21 @@ def _solve_program(a, b, c, basis, route: str) -> WeightProgram:
               f"pivots, {res.guarded} under Bland's guard")
     if res.status == simplex.INFEASIBLE:
         return WeightProgram(None, None, -res.ray[:d], route)
-    s_star = res.x[k]
+    s = res.x[k]
     if res.status != simplex.OPTIMAL:
         logger.warning("strictness not determined: phase 2 ended with %s",
                        res.status)
-        s_star = None
-    return WeightProgram(res.x[:k] + res.x[k], s_star, None, route)
+    # u = v + s 1, but an s that is not strict is rounding: v alone keeps
+    # the support of the phase-2 vertex, at most d + 1 columns.
+    u = res.x[:k] + s if _strict(s, a) else res.x[:k]
+    return WeightProgram(u, s if res.status == simplex.OPTIMAL else None,
+                         None, route)
+
+
+def _strict(s_star, g: np.ndarray) -> bool:
+    """Does the max-min weight s* show strict scalability: is it above 0
+    over ``Fraction`` columns g, and above ``WOLFE_POS_TOL`` over floats?"""
+    return bool(s_star > (0 if g.dtype == object else WOLFE_POS_TOL))
 
 
 def separator_search(fi: FImage) -> tuple[float, np.ndarray]:
@@ -512,7 +542,7 @@ def separator_search(fi: FImage) -> tuple[float, np.ndarray]:
         h = None if w.stop == "zero" else _max_min_weight(g).h
     if h is None:
         return 0.0, np.zeros(fi.d)
-    return float(np.min(h @ g) / np.max(np.abs(h))), h
+    return float(separator_margin(h, g)), h
 
 
 def weight_recovery(frame: Frame, strict: bool = False) -> ScalingWeights:
@@ -559,7 +589,7 @@ def _package_separator(g: np.ndarray, h: np.ndarray, indices) -> Separator:
     if scale == 0:
         raise LPNumericalFailure("separator direction is zero")
     hn = h / scale
-    margin = np.min(hn @ g)
+    margin = separator_margin(hn, g)  # |hn|_inf is exactly 1
     sep = Separator(h=_frozen(hn), margin=float(margin), indices=tuple(indices))
     if g.dtype != object:
         return sep
@@ -576,23 +606,23 @@ def _verdict_no_columns(subset) -> Verdict:
                    subset=subset, spans=False, resolved_by="float")
 
 
-def _decide_columns(prog: WeightProgram, g: np.ndarray, subset, active,
-                    weights, spans) -> Verdict:
+def _decide_columns(prog: WeightProgram, g: np.ndarray, frame: Frame,
+                    subset, active, weights, rank) -> Verdict:
     """The verdict on the columns g of the active subset from the result
     ``prog`` of the max-min-weight program on them.  ``weights(u)``
-    packages and re-verifies the weights, ``spans()`` tells whether the
-    subset spans, and s* counts as strict above 0 for ``Fraction`` columns
-    and above ``DEFAULT_STRICT_THRESHOLD`` for floats."""
-    threshold, resolved_by = ((0, "exact") if g.dtype == object
-                              else (DEFAULT_STRICT_THRESHOLD, "float"))
+    packages and re-verifies the weights, and ``rank()`` gives the rank of
+    the subset, read only for a separated proper subset: ``build_frame``
+    refuses frames of rank below n, so all columns span."""
+    resolved_by = "exact" if g.dtype == object else "float"
     if prog.u is None:
         sep = _package_separator(g, prog.h, active)
+        spans = len(subset) == frame.m or rank() == frame.n
         return Verdict(scalable=False, strict=False, certificate=sep,
                        boundary_flag=False, t_star=sep.margin, s_star=None,
-                       subset=subset, spans=spans(), resolved_by=resolved_by)
+                       subset=subset, spans=spans, resolved_by=resolved_by)
     s_star = prog.s_star
     return Verdict(scalable=True,
-                   strict=s_star is not None and bool(s_star > threshold),
+                   strict=s_star is not None and _strict(s_star, g),
                    certificate=weights(prog.u), boundary_flag=False,
                    t_star=0.0,
                    s_star=None if s_star is None else float(s_star),
@@ -600,28 +630,28 @@ def _decide_columns(prog: WeightProgram, g: np.ndarray, subset, active,
 
 
 def decide(frame: Frame, subset=None, mode: str = "float", *,
-           band: float = DEFAULT_BOUNDARY_BAND,
            tol_tight: float = DEFAULT_TIGHT_TOL,
            rational=None) -> Verdict:
     """Decide scalability of a column subset, with a verified certificate.
 
     Zero columns are carried with weight zero: they never affect the
     verdict and can never be separated.  Non-spanning subsets come back
-    non-scalable with ``spans`` False; a float decide on every column
-    spans without a rank computation, because ``build_frame`` refuses
-    frames that do not.  In float mode the least-norm weights of the active
-    columns come first: they give the separator of at most d columns, the
-    weights of at most d + 1 columns with no LP, or, when positive on more
-    columns, d + 1 of them that start phase 2 of the max-min-weight program
-    with no Wolfe cycle; otherwise Wolfe's minimum-norm-point algorithm
-    either returns the separator or starts phase 2 from its corral at the
-    origin, completed to d + 1 columns; the two-phase LP of mode
-    ``"exact"`` is the fallback when that basis is singular or infeasible,
-    or Wolfe stops short.  Only the active columns are transformed.  A float
-    separator whose re-verified margin is at most ``band``, and a float
-    certificate that fails its re-check, are re-decided through the exact
-    LP when the subset has at most ``EXACT_CAP`` active columns; the
-    verdict then carries ``boundary_flag``.  Above the cap a band separator
+    non-scalable with ``spans`` False; a decide on every column spans
+    without a rank computation, in either mode, because ``build_frame``
+    refuses frames that do not.  In float mode the least-norm weights of
+    the active columns come first: they give the separator of at most d
+    columns, the weights of at most d + 1 columns with no LP, or, when
+    positive on more columns, d + 1 of them that start phase 2 of the
+    max-min-weight program with no Wolfe cycle; otherwise Wolfe's
+    minimum-norm-point algorithm either returns the separator or starts
+    phase 2 from its corral at the origin, completed to d + 1 columns; the
+    two-phase LP of mode ``"exact"`` is the fallback when that basis is
+    singular or infeasible, or Wolfe stops short.  Only the active columns
+    are transformed.  A float separator whose re-verified margin is at
+    most ``DEFAULT_BOUNDARY_BAND``, and a float certificate that fails its
+    re-check, are re-decided through the exact LP when the subset has at
+    most ``EXACT_CAP`` active columns; the verdict then carries
+    ``boundary_flag``.  Above the cap a band separator
     is only flagged, and a failed re-check raises.  Each returned verdict
     logs one DEBUG record naming the route taken ("least-norm separator",
     "least-norm weights", "least-norm basis and phase 2", Wolfe's
@@ -634,12 +664,12 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     if mode == "exact":
         v, route = _decide_exact_lp(frame, subset, rational=rational)
     else:
-        v, route = _decide_float(frame, subset, band, tol_tight, rational)
+        v, route = _decide_float(frame, subset, tol_tight, rational)
     logger.debug("decide (%s) on %d columns: %s", mode, len(subset), route)
     return v
 
 
-def _decide_float(frame: Frame, subset, band, tol_tight, rational):
+def _decide_float(frame: Frame, subset, tol_tight, rational):
     """Float mode of ``decide``: the verdict and the route it took."""
     active = _active_columns(frame, subset)
     if not active:
@@ -655,16 +685,14 @@ def _decide_float(frame: Frame, subset, band, tol_tight, rational):
 
     try:
         v = _decide_columns(
-            prog, g, subset, active,
+            prog, g, frame, subset, active,
             lambda u: _verified_weights(frame, g, active, u, tol_tight),
-            # build_frame refuses frames of rank < n: all columns span.
-            lambda: len(subset) == frame.m
-            or numerical_rank(frame.matrix[:, list(subset)]) == frame.n)
+            lambda: numerical_rank(frame.matrix[:, list(subset)]))
     except Infeasible:  # the weights failed their re-check
         if can_escalate:
             return escalate("weights failed their re-check")
         raise
-    if v.scalable or v.t_star > band:
+    if v.scalable or v.t_star > DEFAULT_BOUNDARY_BAND:
         return v, prog.route
     if can_escalate:
         return escalate(f"separator margin {v.t_star:.3g} within the band")
@@ -809,8 +837,8 @@ def _decide_exact_lp(frame: Frame, subset, rational=None):
     g = np.array([exact.f_vector_exact(cols[k]) for k in active],
                  dtype=object).T
     prog = _max_min_weight(g)
-    rows = [[cols[k][i] for k in subset] for i in range(frame.n)]
     return _decide_columns(
-        prog, g, subset, active,
+        prog, g, frame, subset, active,
         lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),
-        lambda: exact.rank_exact(rows) == frame.n), prog.route
+        lambda: exact.rank_exact([[cols[k][i] for k in subset]
+                                  for i in range(frame.n)])), prog.route

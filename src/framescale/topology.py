@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, WitnessVerificationFailed
-from .feasibility import (DEFAULT_STRICT_THRESHOLD, EXACT_CAP, Separator,
-                          Verdict, _package_separator, decide,
-                          separator_search)
+from .feasibility import (EXACT_CAP, WOLFE_POS_TOL, Separator, Verdict,
+                          _package_separator, decide, separator_search)
 from .fmap import f_image, outer_svec_rows, svec
 from .frames import Frame, build_frame, numerical_rank
 
@@ -115,7 +114,7 @@ def nonscalable_witness(frame: Frame, epsilon: float, seed=None, *,
     if numerical_rank(rows) != m:
         raise HypothesisViolated("outer products are linearly dependent")
     weights = base_verdict.certificate
-    carried = np.flatnonzero(weights.u > DEFAULT_STRICT_THRESHOLD)
+    carried = np.flatnonzero(weights.u > WOLFE_POS_TOL)
     if carried.size == 0:
         raise HypothesisViolated("no column carries positive weight")
     column = int(carried[0])

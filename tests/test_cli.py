@@ -81,17 +81,16 @@ def test_each_command_takes_only_the_options_it_reads():
                     for a in p._actions if a.dest != "help"]
              for name, p in subparsers.choices.items()}
     assert taken == {
-        "analyze": ["file", "--mode", "--tol", "--band", "--seed", "--out"],
-        "certify": ["file", "--mode", "--tol", "--band", "--out"],
-        "scale": ["file", "--mode", "--tol", "--band", "--parseval",
-                  "--out"],
+        "analyze": ["file", "--mode", "--tol", "--seed", "--out"],
+        "certify": ["file", "--mode", "--tol", "--out"],
+        "scale": ["file", "--mode", "--tol", "--parseval", "--out"],
         "fmap": ["file", "--out"],
         "subsets": ["file", "--mode", "--m", "--strict", "--budget",
                     "--out"],
         "witness": ["file", "--mode", "--eps", "--seed", "--out"],
         "random": ["--n", "--m", "--seed", "--out"],
     }
-    assert sum(map(len, taken.values())) == 34
+    assert sum(map(len, taken.values())) == 31
 
 
 def command_argv(command, **paths):
@@ -129,11 +128,12 @@ def test_unreadable_input_or_unwritable_out_exits_2(tmp_path, mercedes_file,
     ("certify {frame} --tol -1", cli.EXIT_PARSE),
     ("analyze {frame} --band nan", cli.EXIT_PARSE),
     ("scale {frame} --band -1", cli.EXIT_PARSE),
+    ("certify {frame} --band 1e-9", cli.EXIT_PARSE),
     ("subsets {frame} --m 2 --budget -1", cli.EXIT_PARSE),
 ], ids=["n-0", "n-negative", "n-above-m", "eps-negative", "eps-0", "eps-nan",
         "eps-inf", "random-seed-negative", "witness-seed-negative",
         "analyze-seed-negative", "tol-nan", "tol-negative", "band-nan",
-        "band-negative", "budget-negative"])
+        "band-negative", "band-retired", "budget-negative"])
 def test_out_of_range_option_values_exit_cleanly(mercedes_file, capsys,
                                                  command, expected):
     # argparse refuses a value that is wrong in itself with a usage line
@@ -230,7 +230,7 @@ def test_analyze_mercedes(mercedes_file):
     code, out, _ = run_cli(["analyze", mercedes_file])
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["verdict"]["scalable"] and report["verdict"]["strict"]
     u = report["certificate"]["u"]
     assert max(abs(a - b) for a in u for b in u) <= 1e-9
@@ -450,4 +450,4 @@ def test_out_flag_writes_file(mercedes_file, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(["analyze", mercedes_file, "--out", str(target)])
     assert code == 0 and out == ""
-    assert json.loads(target.read_text())["schema"] == 1
+    assert json.loads(target.read_text())["schema"] == 2

@@ -51,7 +51,7 @@ def test_separator_search_returns_the_minimum_norm_point(n, m, seed):
     g = fi.matrix
     t_star, h = fs.separator_search(fi)
     assert t_star > 0.0
-    assert t_star == np.min(h @ g) / np.max(np.abs(h))
+    assert t_star == np.min(h / np.max(np.abs(h)) @ g)
     # Optimality: no column lies nearer the origin along h than h itself.
     assert np.all(h @ g >= (h @ h) * (1 - 1e-9))
     # h is a point of conv(g): phase 1 finds u >= 0, sum u = 1, g u = h.
@@ -199,6 +199,18 @@ def test_full_frame_spans_without_a_rank(monkeypatch):
     v = fs.decide(f)
     assert not v.scalable and v.spans
     assert fs.decide(f, subset=range(f.m)).spans
+
+
+def test_exact_full_frame_spans_without_a_rank(monkeypatch):
+    # One spans rule in both modes: a proper subset reads its exact rank,
+    # and the whole frame, non-scalable here, spans without one.
+    f = fs.build_frame(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    assert not fs.decide(f, subset=(0, 1, 2), mode="exact").spans
+    f = fs.random_frame(3, 6, seed=0)
+    monkeypatch.setattr(exact, "rank_exact", _must_not_run)
+    v = fs.decide(f, mode="exact")
+    assert not v.scalable and v.spans and v.resolved_by == "exact"
+    assert fs.decide(f, subset=range(f.m), mode="exact").spans
 
 
 def test_proper_subsets_still_read_their_rank(onb_plus):
@@ -355,20 +367,35 @@ def test_float_and_exact_s_star_agree(mercedes, seed):
     assert abs(vf.s_star - float(ve.s_star)) <= 1e-12
 
 
+def _inside_the_band(copies):
+    """``copies`` copies of two columns with the images (1, 5e-10) and
+    (-1, 5e-10): every separator has margin at most 5e-10 at
+    |h|_inf = 1, inside the band."""
+    return fs.build_frame(2, [_with_image(1.0, 5e-10),
+                              _with_image(-1.0, 5e-10)] * copies)
+
+
 def test_band_applies_to_the_separator_margin(quadrant):
-    # The returned separator of quadrant is Wolfe's point, margin 0.4.
-    # Tiled to 15 columns the frame is above EXACT_CAP, so a band case is
-    # only flagged.
-    tiled = fs.build_frame(2, np.tile(quadrant.matrix, 5).T)
-    assert tiled.m > feasibility.EXACT_CAP
-    v = fs.decide(tiled, band=1.0)
+    # The best margin, separator_search's, lies inside the band.  Seven
+    # copies are above EXACT_CAP, so the verdict is only flagged; six are
+    # at the cap, and exact mode resolves it.
+    f = _inside_the_band(7)
+    assert f.m > feasibility.EXACT_CAP
+    t_best = fs.separator_search(fs.f_image(f))[0]
+    assert 0.0 < t_best <= feasibility.DEFAULT_BOUNDARY_BAND
+    v = fs.decide(f)
     assert v.boundary_flag and v.resolved_by == "float"
-    assert v.t_star == pytest.approx(0.4) and not v.scalable
-    assert not fs.decide(tiled).boundary_flag
-    v = fs.decide(quadrant, band=0.5)
+    assert v.t_star == pytest.approx(5e-10) and not v.scalable
+    f = _inside_the_band(6)
+    assert f.m == feasibility.EXACT_CAP
+    v = fs.decide(f)
     assert v.boundary_flag and v.resolved_by == "exact"
     assert not v.scalable and v.certificate.margin_exact > 0
-    assert not fs.decide(quadrant, band=0.3).boundary_flag
+    # The returned separator of quadrant is Wolfe's point, margin 0.4,
+    # well outside the band, tiled to 15 columns or not.
+    tiled = fs.build_frame(2, np.tile(quadrant.matrix, 5).T)
+    assert not fs.decide(tiled).boundary_flag
+    assert not fs.decide(quadrant).boundary_flag
 
 
 def _stalled_wolfe(g):
@@ -379,15 +406,27 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("called")
 
 
-def test_decide_separates_random_15x200_frame(monkeypatch):
+def _wolfe_cycles(route):
+    """The major and minor Wolfe cycles a route record names."""
+    found = re.search(r"(\d+) major and (\d+) minor Wolfe cycles", route)
+    return int(found.group(1)), int(found.group(2))
+
+
+def test_decide_separates_random_15x200_frame(monkeypatch, caplog):
     # Phase 1 of the two-phase LP ran out of iterations here and raised
     # LPNumericalFailure after 3.7 s; Wolfe's point separates in ~0.3 s.
     monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
     f = fs.random_frame(15, 200, seed=1)
     start = time.perf_counter()
-    v = fs.decide(f)
+    v, route = _route_of(f, caplog)
     assert time.perf_counter() - start < 3.0
     assert not v.scalable and v.resolved_by == "float"
+    # The work the time bound stands for: Wolfe separates after 144 major
+    # and 41 minor cycles, with room here for twice as many.
+    assert "Wolfe separator" in route
+    major, minor = _wolfe_cycles(route)
+    assert major <= 288 and minor <= 82
+    assert not v.boundary_flag
     assert v.certificate.verify(fs.f_image(f)) > 0.0
 
 
@@ -434,16 +473,16 @@ def test_stalled_wolfe_falls_back_to_the_two_phase_lp(
 
 
 def test_decide_logs_one_record_naming_its_route(quadrant, mercedes, caplog):
-    cases = [(quadrant, 1e-9, "Wolfe separator"),
-             (_wolfe_basis_frame(), 1e-9, "Wolfe basis and phase 2"),
-             (_two_onbs(), 1e-9, "Wolfe basis and phase 2"),
-             (_twin_columns(), 1e-9,
-              "two-phase fallback (singular corral basis)"),
-             (quadrant, 0.5, "within the band, so exact: two-phase, exact")]
-    for frame, band, route in cases:
+    cases = [(quadrant, "Wolfe separator"),
+             (_wolfe_basis_frame(), "Wolfe basis and phase 2"),
+             (_two_onbs(), "Wolfe basis and phase 2"),
+             (_twin_columns(), "two-phase fallback (singular corral basis)"),
+             (_inside_the_band(1),
+              "within the band, so exact: two-phase, exact")]
+    for frame, route in cases:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
-            fs.decide(frame, band=band)
+            fs.decide(frame)
         [record] = caplog.records
         assert record.levelno == logging.DEBUG
         assert route in record.getMessage()
@@ -481,13 +520,19 @@ def test_route_record_names_pivots_and_phase(mercedes, caplog):
                .group(1)) > 0
 
 
+def _planted(seed, n, s, m):
+    """A scalable n x s subframe and m - s Gaussian columns."""
+    rng = np.random.default_rng(seed)
+    sub = random_scalable_frame(rng, n, s).matrix
+    gaussians = rng.standard_normal((n, m - s))
+    return fs.build_frame(n, np.hstack([sub, gaussians]).T)
+
+
 def _planted_4x13(seed):
     """A scalable 4 x 5 subframe and 8 Gaussian columns: scalable, not
     strictly, and Wolfe reaches the origin on a corral of fewer than
     d + 1 = 10 columns."""
-    rng = np.random.default_rng(seed)
-    sub = random_scalable_frame(rng, 4, 5).matrix
-    return fs.build_frame(4, np.hstack([sub, rng.standard_normal((4, 8))]).T)
+    return _planted(seed, 4, 5, 13)
 
 
 @pytest.mark.parametrize("frame", [_two_onbs(), _planted_4x13(0)],
@@ -503,25 +548,48 @@ def test_short_corral_is_completed_to_a_basis(frame, monkeypatch, caplog):
     assert abs(v.s_star - two_phase.s_star) <= 1e-12
 
 
-def test_decide_separates_random_20x400_frame(monkeypatch):
+@pytest.mark.parametrize("frame", [_planted_4x13(2), _planted(1, 10, 30, 60)],
+                         ids=["planted-4x13", "planted-10x60"])
+def test_non_strict_weights_keep_the_support_of_the_phase_2_vertex(frame):
+    # Phase 2 ends with s* at rounding level, 2.8e-18 and 4.5e-18: not
+    # strict.  u = v + s* 1 would give every column a weight; the vertex v
+    # has at most d + 1 = n(n + 1)/2 positive entries.
+    v = fs.decide(frame)
+    assert v.scalable and not v.strict and v.resolved_by == "float"
+    assert 0.0 < v.s_star <= feasibility.WOLFE_POS_TOL
+    assert v.support_size <= frame.n * (frame.n + 1) // 2 < frame.m
+    assert v.certificate.verify(frame)
+
+
+def test_decide_separates_random_20x400_frame(monkeypatch, caplog):
     # 2.2 s with a least-squares solve per Wolfe minor cycle; ~0.2 s with
-    # the kept inverse.  The bound leaves room for a loaded machine.
+    # the kept inverse.  The bound leaves room for a loaded machine, and
+    # the work behind it is 332 major and 128 minor Wolfe cycles, with room
+    # here for twice as many.
     monkeypatch.setattr(simplex, "solve_lp", _must_not_run)
     f = fs.random_frame(20, 400, seed=1)
     start = time.perf_counter()
-    v = fs.decide(f)
+    v, route = _route_of(f, caplog)
     assert time.perf_counter() - start < 1.0
+    assert "Wolfe separator" in route
+    major, minor = _wolfe_cycles(route)
+    assert major <= 664 and minor <= 256
     assert not v.scalable and v.t_star > feasibility.DEFAULT_BOUNDARY_BAND
     assert v.certificate.verify(fs.f_image(f)) > 0.0
 
 
-def test_decide_determines_strictness_at_20x400():
+def test_decide_determines_strictness_at_20x400(caplog):
     # 5.9 s with Bland's rule in phase 2 and a least-squares solve per
     # Wolfe minor cycle; ~0.7 s with Dantzig pricing and the kept inverse.
+    # The work behind the bound is 1,362 phase-2 pivots, none under
+    # Bland's guard, with room here for twice as many.
     f = random_scalable_frame(np.random.default_rng(0), 20, 400)
     start = time.perf_counter()
-    v = fs.decide(f)
+    v, route = _route_of(f, caplog)
     assert time.perf_counter() - start < 3.0
+    pivots = re.search(r"; phase 2: (\d+) pivots, 0 under Bland's guard$",
+                       route)
+    assert pivots and int(pivots.group(1)) <= 2724
     assert v.scalable and v.strict and v.s_star is not None
     w = v.certificate
     assert w.residual <= 1e-9 * w.alpha
@@ -605,6 +673,24 @@ def test_singular_corral_basis_falls_back_to_two_phases(twin, monkeypatch,
     assert "two-phase fallback (singular corral basis)" in route
     assert "both phases" in route
     assert v.scalable and v.certificate.verify(f)
+
+
+@pytest.mark.parametrize("copies, n", [(2, 3), (4, 4)],
+                         ids=["2-copies-of-I3", "4-copies-of-I4"])
+def test_unions_of_orthonormal_bases_reach_the_two_phase_fallback(
+        copies, n, caplog):
+    # Copies of one orthonormal basis give [F; 1'] rank n, below d + 1:
+    # k = d + 1 = 6 columns make K singular, k = 16 > d + 1 make g g'
+    # singular, and Wolfe's corral, completed with a copy, is no basis.
+    f = fs.build_frame(n, np.vstack([np.eye(n)] * copies))
+    v, route = _route_of(f, caplog)
+    assert "two-phase fallback (singular corral basis)" in route
+    assert "both phases" in route
+    e = fs.decide(f, mode="exact")
+    assert v.scalable and v.strict and e.strict
+    assert e.s_star == 1 / (copies * n)
+    assert v.s_star == pytest.approx(e.s_star, rel=1e-12)
+    assert v.certificate.verify(f)
 
 
 def test_infeasible_corral_basis_falls_back_to_two_phases(monkeypatch,

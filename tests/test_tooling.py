@@ -3,14 +3,17 @@ it wraps, so an API cut that removes a traced name fails here rather than
 at ``--trace 1``; the package keeps no unused module-level import and
 no private top-level definition that nothing references; only
 ``feasibility`` imports the LP engine ``simplex``; one function starts
-phase 2 from a basis; and every committed
+phase 2 from a basis; README's command-line table lists the options each
+command takes; and every committed
 benchmark record ``BENCH_*.json`` covers every workload with
 correct runs that report every end-to-end metric."""
 
+import argparse
 import ast
 import importlib.util
 import json
 import pathlib
+import re
 
 import framescale as fs
 import framescale.cli  # noqa: F401  (the tracer wraps cli functions too)
@@ -130,6 +133,25 @@ def test_one_function_starts_phase_2_from_a_basis():
                         and basis[0].value is None):
                     starters.append(f"{name}: {func.name}")
     assert starters == ["feasibility.py: _phase_2"]
+
+
+def test_readme_lists_the_options_of_each_command():
+    # The table under "Command line" lists each command's options but
+    # --out, which every command takes.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| command | options |\n", 1)[1].split("\n\n")[0]
+    rows = [line.split("|") for line in table.splitlines()[1:]]
+    listed = {row[1].strip(): [word for word in re.findall(r"`([^`]+)`",
+                                                           row[2])
+                               if word == "file" or word.startswith("--")]
+              for row in rows}
+    subparsers = next(a for a in fs.cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    taken = {name: [a.option_strings[0] if a.option_strings else a.dest
+                    for a in p._actions if a.dest not in ("help", "out")]
+             for name, p in subparsers.choices.items()}
+    assert listed == taken
 
 
 def test_committed_bench_records_cover_every_workload():

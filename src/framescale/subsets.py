@@ -7,20 +7,27 @@ every subset at once, and a positive one pushes its weights to a vertex of
 the weight polytope before any enumeration starts (``caratheodory_reduce``):
 a subset of their support, of at most dim span{phi_k phi_k^T} columns.
 
-Once the full frame is known scalable, separators prune the enumeration.
-A direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
-of the convex hull of F_T, so T is not scalable.  Each search keeps the
-separators its subset decides return and rejects a later candidate without
-an LP when a kept h clears the threshold on every column of it; that test
-is the re-verification of h on the candidate.  A kept h is stored as the
-bit mask of the columns it clears, so the test is one sub-mask check.
+Once the full frame is known scalable, separators prune the enumeration,
+which both queries run through one walk (``_SubsetSearch.walk``).  A
+direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
+of the convex hull of F_T, so T is not scalable.  Frames of small
+redundancy are scalable only on a nowhere dense set, so almost every
+candidate of at most d columns has an affine hull that misses the origin,
+and its point x nearest the origin is such an h.  In float mode the walk
+finds those x for a whole chunk of candidates with one batched solve
+(``_separated``) and skips ``decide`` on each candidate x certifies.  The
+other candidates go through the separators kept from earlier decides: a
+kept h that clears the threshold on every column of a candidate rejects
+it without an LP.  Either test is the re-verification of h on the
+candidate.  A kept h is stored as the bit mask of the columns it clears,
+so its test is one sub-mask check.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -36,11 +43,12 @@ from .frames import (Frame, ScalingWeights, _rank_of_singular_values,
 DEFAULT_SUBSET_BUDGET = 10 ** 6
 DEFAULT_ORTHO_TOL = 1e-10
 REDUCE_TOL = 1e-8  # relative residual the weights of a reduction must meet
+CHUNK_FIRST, CHUNK_CAP = 8, 256  # candidates per batched least-norm test
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetVerdict:
     scalable: bool
     m: int
@@ -50,7 +58,7 @@ class SubsetVerdict:
     verdict: Verdict | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalabilityIndex:
     index: int | None         # smallest verified m; None when not scalable
     not_scalable: bool
@@ -59,21 +67,35 @@ class ScalabilityIndex:
     weights: ScalingWeights | None
 
 
-class _SubsetSearch:
-    """``decide`` over the candidate subsets of one search, pruned by the
-    separators found so far.
+# The one result for a frame that is not scalable: callers that keep
+# thousands of results keep one copy.
+_NOT_SCALABLE = ScalabilityIndex(None, True, None, None, None)
 
-    Each kept separator h is a bit mask, a Python int with bit k set when
-    <F(phi_k), h> is above the threshold.  A candidate whose own mask is a
-    sub-mask of a kept one is rejected without an LP.  Only maximal masks
-    are kept, since a candidate under a dropped mask is under the one that
-    dropped it.  Float mode keeps the normalized ``Separator.h`` with
+
+class _SubsetSearch:
+    """The candidate walk of one search: ``decide`` over the subsets of
+    each size in ``combinations`` order, skipping those that a separator
+    already shows not scalable.
+
+    In float mode, candidates of at most d columns, the ones whose affine
+    hull generically misses the origin, come in chunks of ``CHUNK_FIRST``
+    doubling up to ``CHUNK_CAP``, and ``_separated`` tests each chunk with
+    one batched least-norm solve.  A candidate it certifies skips
+    ``decide``.  Small first chunks keep a search that accepts an early
+    candidate from paying for a large chunk.
+
+    The other candidates go through the kept separators.  Each is a bit
+    mask, a Python int with bit k set when <F(phi_k), h> is above the
+    threshold.  A candidate whose own mask is a sub-mask of a kept one is
+    rejected without an LP.  Only maximal masks are kept, since a
+    candidate under a dropped mask is under the one that dropped it.
+    Float mode keeps the normalized ``Separator.h`` with
     ``DEFAULT_BOUNDARY_BAND`` as the threshold, the margin ``decide``
     accepts a float separator with, so a candidate on which h falls inside
     the band still goes to ``decide``.  Exact mode keeps
     ``Separator.h_exact`` with threshold 0 over the rational F-image, so
-    every rejection is a proof.  The F-image is built when the first
-    separator arrives.
+    every rejection is a proof.  The F-image is built when the walk or the
+    first separator needs it.
     """
 
     def __init__(self, frame: Frame, mode: str):
@@ -82,6 +104,44 @@ class _SubsetSearch:
         self.g = None
         self.masks = []
         self.tried = self.rejected = 0
+
+    def walk(self, pool, m: int, accept, budget: int):
+        """The first size-m subset of ``pool`` whose verdict passes
+        ``accept``, with that verdict, or None when there is none.
+
+        Every candidate counts in ``tried``, and one that a separator
+        rejects without ``decide`` also in ``rejected``.  The walk raises
+        ``BudgetExceeded`` rather than try more than ``budget`` candidates
+        over the life of the search.
+        """
+        candidates = combinations(pool, m)
+        batched = self.mode == "float" and m <= self._image().shape[0]
+        size = CHUNK_FIRST
+        while True:
+            room = max(min(size, budget - self.tried), 0)
+            chunk = list(islice(candidates, room))
+            if not chunk:
+                if room == 0 and next(candidates, None) is not None:
+                    raise BudgetExceeded(
+                        f"more than {budget} subsets in the search")
+                return None
+            size = min(2 * size, CHUNK_CAP)
+            if batched:
+                cols = np.fromiter(chain.from_iterable(chunk), np.intp,
+                                   count=len(chunk) * m).reshape(-1, m)
+                todo = np.flatnonzero(~_separated(self.g, cols)).tolist()
+            else:
+                todo = range(len(chunk))
+            done = 0
+            for i in todo:
+                self.tried += i - done
+                self.rejected += i - done
+                done = i + 1
+                v = self.decide(chunk[i])
+                if v is not None and accept(v):
+                    return chunk[i], v
+            self.tried += len(chunk) - done
+            self.rejected += len(chunk) - done
 
     def decide(self, idx: tuple) -> Verdict | None:
         """The verdict on ``idx``, or None when a kept separator rejects it."""
@@ -94,17 +154,20 @@ class _SubsetSearch:
             self._keep(v.certificate)
         return v
 
+    def _image(self) -> np.ndarray:
+        """The F-image of the frame, rational in exact mode."""
+        if self.g is None:
+            self.g = (np.array([f_vector_exact(c) for c in
+                                frame_to_fractions(self.frame)],
+                               dtype=object).T if self.mode == "exact"
+                      else f_image(self.frame).matrix)
+        return self.g
+
     def _keep(self, sep: Separator) -> None:
         if self.mode == "exact":
-            if self.g is None:
-                self.g = np.array([f_vector_exact(c) for c in
-                                   frame_to_fractions(self.frame)],
-                                  dtype=object).T
-            row = np.array(sep.h_exact, dtype=object) @ self.g > 0
+            row = np.array(sep.h_exact, dtype=object) @ self._image() > 0
         else:
-            if self.g is None:
-                self.g = f_image(self.frame).matrix
-            row = sep.h @ self.g > DEFAULT_BOUNDARY_BAND
+            row = sep.h @ self._image() > DEFAULT_BOUNDARY_BAND
         mask = _mask(np.flatnonzero(row).tolist())
         if not self._covered(mask):
             self.masks = [kept for kept in self.masks if kept & mask != kept]
@@ -115,9 +178,39 @@ class _SubsetSearch:
         return any(mask & kept == mask for kept in self.masks)
 
     def log(self, query: str) -> None:
-        logger.debug("%s: %d subsets enumerated, %d rejected by a kept "
-                     "separator, %d sent to decide", query, self.tried,
+        logger.debug("%s: %d subsets enumerated, %d rejected by a separator "
+                     "without decide, %d sent to decide", query, self.tried,
                      self.rejected, self.tried - self.rejected)
+
+
+def _separated(g: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Which candidates, the rows of ``chunk``, each of at most d columns
+    of the float F-image g, the least-norm separator shows not scalable.
+
+    For a candidate with transformed columns R' and largest squared column
+    norm c, one batched solve gives y = K^-1 1 with K = R R' / c + 1 1',
+    and x = R' y / 1'y is the point of its affine hull nearest the origin
+    (``feasibility._least_norm``).  The candidate is certified when
+    min_k <x, g_k> > ``DEFAULT_BOUNDARY_BAND`` |x|_inf, the margin rule
+    of ``decide`` and of the kept masks; that test re-verifies x on the
+    candidate's own columns, however accurate y is.  A chunk with a zero
+    column, a singular K or a non-finite x certifies nothing.
+    """
+    none = np.zeros(len(chunk), dtype=bool)
+    r = g.T[chunk]
+    sq = np.einsum("bkd,bkd->bk", r, r)
+    if not np.all(sq > 0.0):
+        return none
+    k = r @ r.transpose(0, 2, 1) / np.max(sq, axis=1)[:, None, None] + 1.0
+    try:
+        y = np.linalg.solve(k, np.ones(chunk.shape + (1,)))
+    except np.linalg.LinAlgError:
+        return none
+    x = (y.transpose(0, 2, 1) @ r)[:, 0] / np.sum(y, axis=1)
+    if not np.all(np.isfinite(x)):
+        return none
+    margin = np.min((r @ x[:, :, None])[..., 0], axis=1)
+    return margin > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x), axis=1)
 
 
 def _mask(columns) -> int:
@@ -165,10 +258,11 @@ def is_m_scalable(frame: Frame, m: int, strict: bool = False, *,
 
     Positive answers always carry a witness subset re-verified by
     ``decide``.  Candidates go through ``decide`` in ``combinations``
-    order, except those that a separator kept from an earlier candidate
-    rejects (see ``_SubsetSearch``).  When every pruning rule fails and
-    the subset count exceeds ``budget``, the query raises
-    ``BudgetExceeded`` rather than guessing.
+    order, except those that a least-norm separator of their own columns
+    or a separator kept from an earlier candidate shows not scalable (see
+    ``_SubsetSearch``).  When every pruning rule fails and the subset count
+    exceeds ``budget``, the query raises ``BudgetExceeded`` rather than
+    guessing.
     """
     if not frame.n <= m <= frame.m:
         raise DimensionMismatch(f"need {frame.n} <= m <= {frame.m}, got {m}")
@@ -202,14 +296,14 @@ def is_m_scalable(frame: Frame, m: int, strict: bool = False, *,
         raise BudgetExceeded(
             f"C({len(pool)},{m}) subsets exceed the budget {budget}")
     search = _SubsetSearch(frame, mode)
-    result = SubsetVerdict(False, m, False, None, None, None)
-    for idx in combinations(pool, m):
-        v = search.decide(idx)
-        if v is not None and v.scalable and (v.strict or not strict):
-            result = SubsetVerdict(True, m, v.strict, idx, v.certificate, v)
-            break
+    found = search.walk(pool, m,
+                        lambda v: v.scalable and (v.strict or not strict),
+                        budget)
     search.log("is_m_scalable")
-    return result
+    if found is None:
+        return SubsetVerdict(False, m, False, None, None, None)
+    idx, v = found
+    return SubsetVerdict(True, m, v.strict, idx, v.certificate, v)
 
 
 def _pad(support, m: int, total: int) -> tuple:
@@ -264,14 +358,16 @@ def scalability_index(frame: Frame, *, budget: int = DEFAULT_SUBSET_BUDGET,
     Starts from the support-reduced weights (an upper bound no worse than
     the dimension of the outer-product span) and walks downward by
     enumeration; m = N is settled by the orthogonal-subbasis criterion.
-    One set of kept separators serves every size of the walk, and subsets
-    that one of them rejects skip ``decide`` but still count against
-    ``budget``.  On budget exhaustion the best verified upper bound is
-    returned with an explicit marker for the smallest unexplored size.
+    One candidate walk (``_SubsetSearch``), with one set of kept
+    separators, serves every size.  Subsets that a separator rejects,
+    their own least-norm one or a kept one, skip ``decide`` but still count
+    against ``budget``.  On budget exhaustion the best verified upper bound
+    is returned with an explicit marker for the smallest unexplored size.
+    Every frame that is not scalable gets one shared result.
     """
     full = decide(frame, mode=mode)
     if not full.scalable:
-        return ScalabilityIndex(None, True, None, None, None)
+        return _NOT_SCALABLE
     basis = orthogonal_subbasis(frame)
     if basis is not None:
         v = decide(frame, basis, mode=mode)
@@ -281,20 +377,15 @@ def scalability_index(frame: Frame, *, budget: int = DEFAULT_SUBSET_BUDGET,
     witness = reduced.support
     weights = reduced
     search = _SubsetSearch(frame, mode)
-    used = 0
     unknown_below = None
     m = best - 1
     while m > frame.n:  # m = n settled above: no orthogonal subbasis
-        found = None
-        for idx in combinations(range(frame.m), m):
-            used += 1
-            if used > budget:
-                unknown_below = m
-                break
-            v = search.decide(idx)
-            if v is not None and v.scalable:
-                found = (idx, v)
-                break
+        try:
+            found = search.walk(range(frame.m), m, lambda v: v.scalable,
+                                 budget)
+        except BudgetExceeded:
+            unknown_below = m
+            break
         if found is None:
             break
         witness, v = found

@@ -600,8 +600,12 @@ def test_results_keep_no_instance_dict_and_share_full_support(mercedes,
     v = fs.decide(mercedes)
     assert v.strict and v.certificate.support is v.subset
     sep = fs.decide(quadrant).certificate
-    for obj in (v, v.certificate, sep):
+    found = fs.is_m_scalable(mercedes, 3)
+    index = fs.scalability_index(mercedes)
+    for obj in (v, v.certificate, sep, found, index):
         assert not hasattr(obj, "__dict__")
+    # Every frame that is not scalable shares one index result.
+    assert fs.scalability_index(quadrant) is fs.scalability_index(quadrant)
 
 
 def test_active_columns_reads_no_column_of_a_frame_without_zero_columns(

@@ -541,8 +541,89 @@ def test_index_does_not_depend_on_the_affine_route(kind, seed, monkeypatch):
     f = (random_scalable_frame(rng, 4, 13) if kind == "tight"
          else _planted_4x13(rng, int(kind[-1])))
     res = fs.scalability_index(f)
+    # Off: no least-norm route in decide and no batched least-norm test in
+    # the walk, so every candidate a kept separator misses runs Wolfe.
     monkeypatch.setattr(feasibility, "_least_norm", lambda g: None)
+    monkeypatch.setattr(subsets, "_separated",
+                        lambda g, chunk: np.zeros(len(chunk), dtype=bool))
     off = fs.scalability_index(f)
     assert (res.index, res.not_scalable, res.unknown_below) == \
         (off.index, off.not_scalable, off.unknown_below)
     assert res.index <= (13 if kind == "tight" else int(kind[-1]))
+
+
+# --- the batched least-norm test ------------------------------------------------
+
+def _gaussian_4x13(rng):
+    return fs.build_frame(4, rng.standard_normal((13, 4)))
+
+
+CERTIFY_FRAMES = {
+    "tight": lambda: random_scalable_frame(np.random.default_rng(11), 4, 13),
+    "planted7": lambda: _planted_4x13(np.random.default_rng(12), 7),
+    "gaussian": lambda: _gaussian_4x13(np.random.default_rng(13)),
+}
+
+
+def _assert_certified_are_separated(f, sizes):
+    g = fs.f_image(f).matrix
+    certified = separated = 0
+    for size in sizes:
+        chunk = np.array(list(combinations(range(f.m), size)))
+        for idx, cert in zip(chunk, subsets._separated(g, chunk)):
+            v = fs.decide(f, idx)
+            is_separated = isinstance(v.certificate, fs.Separator)
+            separated += is_separated
+            if cert:
+                assert is_separated and not v.scalable, tuple(idx)
+                assert not v.boundary_flag, tuple(idx)
+                certified += 1
+    return certified, separated
+
+
+@pytest.mark.parametrize("name", CERTIFY_FRAMES)
+def test_every_certified_candidate_is_separated_by_decide(name):
+    f = CERTIFY_FRAMES[name]()
+    certified, separated = _assert_certified_are_separated(f, (9, 6))
+    # Not vacuous: the test certifies all but a few separated candidates.
+    assert certified >= 0.9 * separated > 0
+
+
+@pytest.mark.parametrize("name", [name for name in BRUTE_FRAMES
+                                  if name != "zero-column"])
+def test_every_certified_brute_force_candidate_is_separated(name, request):
+    make = BRUTE_FRAMES[name]
+    f = make() if make else request.getfixturevalue(name)
+    d = fs.f_image(f).matrix.shape[0]
+    sizes = range(f.n, min(d, f.m) + 1)
+    certified, separated = _assert_certified_are_separated(f, sizes)
+    assert certified <= separated
+
+
+def test_a_repeated_or_zero_column_certifies_nothing_in_its_chunk():
+    f = CERTIFY_FRAMES["gaussian"]()
+    g = fs.f_image(f).matrix
+    chunk = np.array(list(combinations(range(f.m), 6))[:64])
+    assert subsets._separated(g, chunk).all()
+    repeated = chunk.copy()
+    repeated[-1, 1] = repeated[-1, 0]  # K exactly singular
+    assert not subsets._separated(g, repeated).any()
+    zero = g.copy()
+    zero[:, chunk[-1, -1]] = 0.0
+    assert not subsets._separated(zero, chunk).any()
+    # A frame with a zero column keeps every search result (brute force
+    # checks "zero-column"); no chunk holding the column certifies.
+    f0 = BRUTE_FRAMES["zero-column"]()
+    g0 = fs.f_image(f0).matrix
+    for size in range(f0.n, g0.shape[0] + 1):
+        chunk = np.array(list(combinations(range(f0.m), size)))
+        assert not subsets._separated(g0, chunk).any()
+
+
+def test_budget_counts_every_candidate_of_a_batched_walk():
+    f = random_scalable_frame(np.random.default_rng(0), 4, 13)
+    # The walk tries all C(13, 9) = 715 candidates of size 9, nearly all
+    # certified in batches, and finds none scalable.
+    assert fs.scalability_index(f, budget=715).unknown_below is None
+    res = fs.scalability_index(f, budget=714)
+    assert (res.index, res.unknown_below) == (10, 9)

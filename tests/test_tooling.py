@@ -3,7 +3,8 @@ it wraps, so an API cut that removes a traced name fails here rather than
 at ``--trace 1``; the package keeps no unused module-level import and
 no private top-level definition that nothing references; only
 ``feasibility`` imports the LP engine ``simplex``; one function starts
-phase 2 from a basis; README's command-line table lists the options each
+phase 2 from a basis; one function walks the candidate subsets of the
+subset queries; README's command-line table lists the options each
 command takes; and every committed
 benchmark record ``BENCH_*.json`` covers every workload with
 correct runs that report every end-to-end metric."""
@@ -133,6 +134,19 @@ def test_one_function_starts_phase_2_from_a_basis():
                         and basis[0].value is None):
                     starters.append(f"{name}: {func.name}")
     assert starters == ["feasibility.py: _phase_2"]
+
+
+def test_one_function_walks_the_candidate_subsets():
+    # is_m_scalable and scalability_index share _SubsetSearch.walk, the
+    # one function of subsets.py that calls combinations.
+    tree = parsed_modules()["subsets.py"]
+    walkers = [func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for call in ast.walk(func)
+               if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name)
+               and call.func.id == "combinations"]
+    assert walkers == ["walk"]
 
 
 def test_readme_lists_the_options_of_each_command():

@@ -34,7 +34,16 @@ as a two-phase simplex: its phase 1 is phase 1 on the weight polytope
 {F u = 0, sum u = 1, u >= 0}, and when that polytope is empty the Farkas
 duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is the
 separator.  The phase-2 point is the weights certificate.
-Mode ``"exact"`` runs the two-phase program with rational pivots.
+
+Mode ``"exact"`` runs this float program first on the rational columns
+rounded to floats.  A frame is not scalable exactly when some h has
+<h, F(phi_k)> > 0 for every k, so a float separator is a candidate proof:
+every float is a dyadic rational, and min_k <h, F(phi_k)> > 0 checked in
+``Fraction``s, O(d k) products, proves it with no rational pivot
+(``_exact_separator``, as QSopt_ex checks float LP answers).  When the
+float program finds weights, its separator fails that check, or the
+columns overflow a float, the two-phase program runs with rational
+pivots, so scalable exact verdicts always come from it.
 
 Each certificate rule is stated once, here:
 
@@ -44,8 +53,9 @@ Each certificate rule is stated once, here:
 - weights are re-checked on the frame, tight to ``tol_tight`` alpha;
 - a separator h is re-checked by its margin, min_k <h, F(phi_k)> at
   |h|_inf = 1 (``separator_margin``).  A float separator whose margin is
-  at most ``DEFAULT_BOUNDARY_BAND`` is flagged, and re-decided in exact
-  mode when at most ``EXACT_CAP`` columns are active.
+  at most ``DEFAULT_BOUNDARY_BAND`` is flagged and checked in rationals;
+  when that check fails, it is re-decided by the rational LP if at most
+  ``EXACT_CAP`` columns are active.
 
 ``separator_search`` runs Wolfe's algorithm on to the minimum-norm point,
 the separator of largest margin at |h|_2 = 1 (Wolfe's algorithm is the
@@ -63,8 +73,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact, simplex
-from .errors import (DimensionTooSmall, Infeasible, LPNumericalFailure,
-                     NotStrictlyScalable, TooLarge, ZeroColumn)
+from .errors import (DimensionTooSmall, FrameScaleError, Infeasible,
+                     LPNumericalFailure, NotStrictlyScalable, TooLarge,
+                     ZeroColumn)
 from .fmap import FImage, f_image, f_vector
 from .frames import (DEFAULT_TIGHT_TOL, Frame, ScalingWeights, _all_columns,
                      _frozen, make_weights, numerical_rank)
@@ -131,14 +142,15 @@ class Verdict:
     ``DEFAULT_BOUNDARY_BAND`` or at the minimum-norm point; or the Farkas
     one when the two-phase fallback runs.  So t* is a certified margin but
     not the best one: ``separator_search`` gives the separator of largest
-    margin at |h|_2 = 1, with its margin reported at |h|_inf = 1.
-    ``exact_oracle``'s t* is the margin of the Farkas separator of its
-    rational program.  ``s_star`` is the optimum of the max-min-weight
-    program on scalable verdicts, whichever basis phase 2 started from, or
-    min mu when the least-norm weights mu are the whole weight polytope;
-    ``None`` there means that phase 2 did not reach its optimum, so
-    strictness was not determined (``strict`` is False then and the
-    weights are its last, verified point).  A float s* at most
+    margin at |h|_2 = 1, with its margin reported at |h|_inf = 1.  In
+    exact mode, and in ``exact_oracle``, t* is the exact margin of that
+    float separator, checked in rationals, or of the Farkas separator of
+    the rational program when the check fails.  ``s_star`` is the optimum
+    of the max-min-weight program on scalable verdicts, whichever basis
+    phase 2 started from, or min mu when the least-norm weights mu are the
+    whole weight polytope; ``None`` there means that phase 2 did not reach
+    its optimum, so strictness was not determined (``strict`` is False
+    then and the weights are its last, verified point).  A float s* at most
     ``WOLFE_POS_TOL`` is not strict, and its weights are the phase-2
     vertex, on at most d + 1 columns.  ``boundary_flag`` marks a float
     separator whose margin is at most ``DEFAULT_BOUNDARY_BAND``, and a
@@ -452,11 +464,12 @@ def _program(g: np.ndarray):
 
 
 def _max_min_weight(g: np.ndarray) -> WeightProgram:
-    """The max-min-weight program on columns g: u = v + s 1 with v, s >= 0,
+    """The max-min-weight program on float columns g: u = v + s 1, v,
+    s >= 0,
 
         maximize s  subject to  g u = 0,  sum u = 1.
 
-    Over float columns, the least-norm weights come first (``_least_norm``):
+    The least-norm weights come first (``_least_norm``):
     a separator there is returned as h, unique nonnegative weights of
     k <= d + 1 columns as u with s* = min u and no LP, and positive ones of
     more columns, reduced to d + 1 columns, start phase 2 with no Wolfe
@@ -464,9 +477,10 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     point is returned as h, with no LP; a corral at the origin starts phase
     2, completed to d + 1 columns when it is shorter, unless ``_phase_2``
     refuses its basis.  The basis only picks where phase 2 starts, so s* is
-    the same LP optimum.  Otherwise, and always over
-    ``Fraction`` columns, the two-phase simplex runs, and an empty weight
-    polytope gives the separator h from the Farkas duals.  A scalable
+    the same LP optimum.  Otherwise the two-phase simplex runs, and an
+    empty weight polytope gives the separator h from the Farkas duals.
+    Over ``Fraction`` columns, ``_exact_program`` runs this program first
+    and the two-phase simplex only when its separator fails.  A scalable
     result carries u, the last basic point, and s*, ``None`` when phase 2
     stopped short of its optimum.  ``route`` names the way taken, Wolfe's
     cycles and refreshes of K^-1, and the simplex pivots.  The s column is
@@ -474,8 +488,6 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     enter only once the v columns are done: phase 1 pivots as it would on
     the weight polytope alone.
     """
-    if g.dtype == object:
-        return _solve_program(*_program(g), None, "two-phase, exact")
     prog = _least_norm(g)
     if prog is not None:
         return prog
@@ -493,6 +505,59 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
             return prog
     return _solve_program(*_program(g), None,
                           f"two-phase fallback ({why}) after {cycles}")
+
+
+def _exact_separator(h: np.ndarray, g: np.ndarray):
+    """The float direction h as exact ``Fraction``s, every float being a
+    dyadic rational, when it separates the ``Fraction`` columns g, that is
+    when its ``separator_margin`` over them is positive; else None."""
+    if not (np.all(np.isfinite(h)) and np.any(h)):
+        return None
+    h_q = np.array([Fraction(v) for v in h.tolist()], dtype=object)
+    return h_q if separator_margin(h_q, g) > 0 else None
+
+
+def _float_attempt(g: np.ndarray):
+    """The float program (``_max_min_weight``) on the ``Fraction`` columns
+    g rounded to floats, and None; or None and why it did not run: a
+    column overflows a float (``Fraction`` raises ``OverflowError`` rather
+    than round to inf), or the program raised an error or a floating-point
+    exception.  Its result counts only once checked."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _max_min_weight(g.astype(float)), None
+    except (ArithmeticError, ValueError, FrameScaleError,
+            RuntimeWarning) as exc:
+        return None, f"float attempt skipped ({type(exc).__name__})"
+
+
+def _exact_program(g: np.ndarray, prog: WeightProgram | None = None,
+                   lp: bool = True) -> WeightProgram | None:
+    """The max-min-weight program on the ``Fraction`` columns g, exactly.
+
+    The float program runs first, unless the caller passes its result
+    ``prog``.  A separator that passes its check in rationals
+    (``_exact_separator``) is the answer, with no rational pivot.
+    Otherwise the two-phase simplex runs with rational pivots, and its
+    route says why: the float program found weights, its separator failed
+    the check, or the attempt was skipped.  With ``lp`` False, None
+    stands for that simplex.  Scalable verdicts thus always come from the
+    rational LP."""
+    route = ""
+    if prog is None:
+        prog, why = _float_attempt(g)
+        if prog is not None:
+            route = f"{prog.route}; "
+    if prog is not None:
+        h = None if prog.h is None else _exact_separator(prog.h, g)
+        if h is not None:
+            return WeightProgram(None, None, h, f"{route}checked in rationals")
+        why = ("float found weights" if prog.h is None
+               else "float separator failed its exact check")
+    if not lp:
+        return None
+    return _solve_program(*_program(g), None,
+                          f"{route}{why}, so two-phase, exact")
 
 
 def _solve_program(a, b, c, basis, route: str) -> WeightProgram:
@@ -645,24 +710,28 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
     max-min-weight program with no Wolfe cycle; otherwise Wolfe's
     minimum-norm-point algorithm either returns the separator or starts
     phase 2 from its corral at the origin, completed to d + 1 columns; the
-    two-phase LP of mode ``"exact"`` is the fallback when that basis is
-    singular or infeasible, or Wolfe stops short.  Only the active columns
-    are transformed.  A float separator whose re-verified margin is at
-    most ``DEFAULT_BOUNDARY_BAND``, and a float certificate that fails its
-    re-check, are re-decided through the exact LP when the subset has at
-    most ``EXACT_CAP`` active columns; the verdict then carries
-    ``boundary_flag``.  Above the cap a band separator
-    is only flagged, and a failed re-check raises.  Each returned verdict
-    logs one DEBUG record naming the route taken ("least-norm separator",
-    "least-norm weights", "least-norm basis and phase 2", Wolfe's
-    separator or basis, or a two-phase fallback), Wolfe's cycle counts and
-    the simplex pivots.
+    two-phase LP is the fallback when that basis is singular or
+    infeasible, or Wolfe stops short.  Only the active columns are
+    transformed.  Mode ``"exact"`` runs the same float program and checks
+    its separator in rationals; the two-phase LP with rational pivots runs
+    only when there is no separator that passes.  A float separator whose
+    re-verified margin is at most ``DEFAULT_BOUNDARY_BAND`` is checked in
+    rationals at any size; when that fails, it and a float certificate
+    that fails its re-check are re-decided through the rational LP when
+    the subset has at most ``EXACT_CAP`` active columns.  The verdict then
+    carries ``boundary_flag``.  Above the cap a band separator that fails
+    its exact check is only flagged, and a failed re-check raises.  Each
+    returned verdict logs one DEBUG record naming the route taken
+    ("least-norm separator", "least-norm weights", "least-norm basis and
+    phase 2", Wolfe's separator or basis, or a two-phase fallback), Wolfe's
+    cycle counts and the simplex pivots; in exact mode it adds "checked in
+    rationals", or why rational pivots ran.
     """
     if mode not in ("float", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     subset = _normalize_subset(frame, subset)
     if mode == "exact":
-        v, route = _decide_exact_lp(frame, subset, rational=rational)
+        v, route = _decide_exact(frame, subset, rational)
     else:
         v, route = _decide_float(frame, subset, tol_tight, rational)
     logger.debug("decide (%s) on %d columns: %s", mode, len(subset), route)
@@ -678,9 +747,9 @@ def _decide_float(frame: Frame, subset, tol_tight, rational):
     prog = _max_min_weight(g)
     can_escalate = len(active) <= EXACT_CAP
 
-    def escalate(why: str):
-        v, route = _decide_exact_lp(frame, subset, rational=rational)
-        return (replace(v, boundary_flag=True),
+    def escalate(why: str, lp: bool = True):
+        v, route = _decide_exact(frame, subset, rational, prog, lp)
+        return (None if v is None else replace(v, boundary_flag=True),
                 f"{prog.route}; {why}, so exact: {route}")
 
     try:
@@ -694,13 +763,15 @@ def _decide_float(frame: Frame, subset, tol_tight, rational):
         raise
     if v.scalable or v.t_star > DEFAULT_BOUNDARY_BAND:
         return v, prog.route
-    if can_escalate:
-        return escalate(f"separator margin {v.t_star:.3g} within the band")
+    # A band separator is checked in rationals at any size; only the
+    # rational LP needs the cap.
+    why = f"separator margin {v.t_star:.3g} within the band"
+    checked, route = escalate(why, lp=can_escalate)
+    if checked is not None:
+        return checked, route
     if v.t_star <= 0.0:
         raise LPNumericalFailure("separator failed re-verification")
-    return (replace(v, boundary_flag=True),
-            f"{prog.route}; separator margin {v.t_star:.3g} within the band, "
-            "flagged")
+    return replace(v, boundary_flag=True), f"{route}, flagged"
 
 
 # --- sign-based quick rejection ---------------------------------------------
@@ -782,8 +853,9 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     the normalized weight polytope; when the subset has no kernel, that
     system is inconsistent and the enumeration returns no vertex at once.
     The dual branch is the verdict of ``decide(mode="exact")``, which must
-    agree: the Farkas separator of its rational max-min-weight program is
-    the certificate, and t* is that separator's margin at |h|_inf = 1.
+    agree: its separator is the certificate, the float one checked in
+    rationals or else the Farkas separator of the rational max-min-weight
+    program, and t* is that separator's exact margin at |h|_inf = 1.
 
     Frame entries convert losslessly to rationals; pass ``rational`` when
     the intended entries are not float-representable (e.g. 50-digit
@@ -819,16 +891,20 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
                        boundary_flag=False, t_star=0.0, s_star=s_star,
                        subset=subset, spans=True, resolved_by="exact")
 
-    v = _decide_exact_lp(frame, subset, rational=rational)[0]
+    v = _decide_exact(frame, subset, rational)[0]
     if v.scalable:
         raise ArithmeticError(
             "exact routes disagree: no vertex, yet the program finds weights")
     return v
 
 
-def _decide_exact_lp(frame: Frame, subset, rational=None):
-    """Mode "exact" of ``decide``: the two-phase LP with rational pivots,
-    so every verdict is exact; returns the verdict and the route."""
+def _decide_exact(frame: Frame, subset, rational=None, prog=None,
+                  lp: bool = True):
+    """Mode "exact" of ``decide``, so every verdict is exact: the program
+    of ``_exact_program`` on the rational columns, given the float result
+    ``prog`` when the caller has one.  Returns the verdict and the route;
+    the verdict is None when the float separator fails its check and
+    ``lp`` is False."""
     cols = exact.frame_to_fractions(frame, rational)
     active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
     if not active:
@@ -836,7 +912,9 @@ def _decide_exact_lp(frame: Frame, subset, rational=None):
                 "no active columns")
     g = np.array([exact.f_vector_exact(cols[k]) for k in active],
                  dtype=object).T
-    prog = _max_min_weight(g)
+    prog = _exact_program(g, prog, lp)
+    if prog is None:
+        return None, "float separator failed its exact check"
     return _decide_columns(
         prog, g, frame, subset, active,
         lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),

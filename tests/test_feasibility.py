@@ -350,10 +350,10 @@ def test_decide_solves_one_lp(mercedes, quadrant, monkeypatch, mode):
         calls.clear()
         v = fs.decide(frame, mode=mode)
         assert v.resolved_by == mode
-        if mode == "exact":
+        if frame is quadrant:  # Wolfe's point separates: no LP at all,
+            assert calls == []    # and exact mode checks it in rationals
+        elif mode == "exact":
             assert calls == ["solve_lp_exact"]
-        elif frame is quadrant:  # Wolfe's point separates: no LP at all
-            assert calls == []
         else:
             assert calls in ([], ["solve_lp"])
 
@@ -377,15 +377,17 @@ def _inside_the_band(copies):
 
 def test_band_applies_to_the_separator_margin(quadrant):
     # The best margin, separator_search's, lies inside the band.  Seven
-    # copies are above EXACT_CAP, so the verdict is only flagged; six are
-    # at the cap, and exact mode resolves it.
+    # copies are above EXACT_CAP, but the band separator passes its check
+    # in rationals, which needs no cap; six are at the cap, and exact mode
+    # resolves it too.
     f = _inside_the_band(7)
     assert f.m > feasibility.EXACT_CAP
     t_best = fs.separator_search(fs.f_image(f))[0]
     assert 0.0 < t_best <= feasibility.DEFAULT_BOUNDARY_BAND
     v = fs.decide(f)
-    assert v.boundary_flag and v.resolved_by == "float"
+    assert v.boundary_flag and v.resolved_by == "exact"
     assert v.t_star == pytest.approx(5e-10) and not v.scalable
+    assert v.certificate.margin_exact > 0
     f = _inside_the_band(6)
     assert f.m == feasibility.EXACT_CAP
     v = fs.decide(f)
@@ -396,6 +398,22 @@ def test_band_applies_to_the_separator_margin(quadrant):
     tiled = fs.build_frame(2, np.tile(quadrant.matrix, 5).T)
     assert not fs.decide(tiled).boundary_flag
     assert not fs.decide(quadrant).boundary_flag
+
+
+def test_band_separator_failing_its_exact_check_needs_the_cap(
+        monkeypatch, caplog):
+    # Only the rational LP is bound by EXACT_CAP: a band separator that
+    # fails its check in rationals is re-decided by that LP at the cap and
+    # only flagged above it.
+    monkeypatch.setattr(feasibility, "_exact_separator", lambda h, g: None)
+    v, route = _route_of(_inside_the_band(7), caplog)
+    assert v.boundary_flag and v.resolved_by == "float" and not v.scalable
+    assert route.endswith("within the band, so exact: float separator "
+                          "failed its exact check, flagged")
+    v, route = _route_of(_inside_the_band(6), caplog)
+    assert v.boundary_flag and v.resolved_by == "exact" and not v.scalable
+    assert ("within the band, so exact: float separator failed its exact "
+            "check, so two-phase, exact; both phases") in route
 
 
 def _stalled_wolfe(g):
@@ -478,7 +496,7 @@ def test_decide_logs_one_record_naming_its_route(quadrant, mercedes, caplog):
              (_two_onbs(), "Wolfe basis and phase 2"),
              (_twin_columns(), "two-phase fallback (singular corral basis)"),
              (_inside_the_band(1),
-              "within the band, so exact: two-phase, exact")]
+              "within the band, so exact: checked in rationals")]
     for frame, route in cases:
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
@@ -492,7 +510,7 @@ def test_decide_logs_one_record_naming_its_route(quadrant, mercedes, caplog):
     with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
         fs.decide(mercedes, mode="exact")
     [record] = caplog.records
-    assert "two-phase, exact" in record.getMessage()
+    assert "float found weights, so two-phase, exact" in record.getMessage()
 
 
 def test_route_record_names_pivots_and_phase(mercedes, caplog):
@@ -1195,6 +1213,98 @@ def test_exact_mode_certificates_are_exact(mercedes):
     w = v.certificate
     assert w.u_exact is not None and w.alpha_exact is not None
     assert sum(w.u_exact) == 1
+
+
+def _cone_frame(seed, n, m):
+    """Not scalable: Gaussian columns x kept inside the cone
+    x'Qx > lambda_max(Q) |x|^2 / 10 of a seeded trace-free form Q."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    q = (a + a.T) / 2.0
+    q -= np.trace(q) / n * np.eye(n)
+    floor = np.linalg.eigvalsh(q)[-1] / 10.0
+    cols = []
+    while len(cols) < m:
+        x = rng.standard_normal(n)
+        if x @ q @ x > floor * (x @ x):
+            cols.append(x)
+    return fs.build_frame(n, cols)
+
+
+def _count_exact_lps(monkeypatch):
+    calls = []
+    solve = simplex.solve_lp_exact
+
+    def counted(*args, **kwargs):
+        calls.append("solve_lp_exact")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp_exact", counted)
+    return calls
+
+
+def _assert_exact_separator(frame, v):
+    # h_exact . F_exact(phi_k) >= margin_exact > 0 in Fractions, with
+    # equality at the worst column and |h_exact|_inf = 1.
+    sep = v.certificate
+    cols = exact.frame_to_fractions(frame)
+    prods = [sum(h * g for h, g in zip(sep.h_exact,
+                                       exact.f_vector_exact(cols[k])))
+             for k in sep.indices]
+    assert sep.margin_exact > 0 and min(prods) == sep.margin_exact
+    assert max(abs(h) for h in sep.h_exact) == 1
+    assert v.t_star == float(sep.margin_exact)
+
+
+@pytest.mark.parametrize("n, m", [(3, 6), (3, 8), (4, 9), (4, 13)])
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_decide_checks_the_float_separator_in_rationals(
+        n, m, seed, monkeypatch, caplog):
+    calls = _count_exact_lps(monkeypatch)
+    f = _cone_frame(seed, n, m)
+    v, route = _route_of(f, caplog, mode="exact")
+    assert calls == []
+    assert route.endswith("; checked in rationals")
+    assert not v.scalable and v.resolved_by == "exact" and v.spans
+    _assert_exact_separator(f, v)
+
+
+def test_failed_exact_check_falls_back_to_one_rational_lp(
+        quadrant, monkeypatch, caplog):
+    # The float program is made to return -h, which fails its check in
+    # rationals: one rational LP decides, as before the check.
+    float_program = feasibility._max_min_weight
+
+    def flipped(g):
+        prog = float_program(g)
+        return prog if prog.h is None else prog._replace(h=-prog.h)
+
+    monkeypatch.setattr(feasibility, "_max_min_weight", flipped)
+    calls = _count_exact_lps(monkeypatch)
+    for f in (quadrant, _cone_frame(0, 3, 7)):
+        calls.clear()
+        v, route = _route_of(f, caplog, mode="exact")
+        assert calls == ["solve_lp_exact"]
+        assert ("; float separator failed its exact check, so two-phase, "
+                "exact; both phases") in route
+        assert not v.scalable and v.resolved_by == "exact"
+        _assert_exact_separator(f, v)
+
+
+@pytest.mark.parametrize("scale, error", [(1e160, "OverflowError"),
+                                          (1e80, "FloatingPointError")])
+def test_exact_decide_skips_the_float_attempt_on_overflow(
+        scale, error, caplog):
+    # Near 1e160, F(phi) overflows a float, so the rational columns do not
+    # convert; near 1e80 the squared column norms overflow inside the
+    # float program.  The rational LP decides either way, as it always
+    # did, and nothing is raised or warned.
+    mat = np.random.default_rng(0).standard_normal((3, 7)) * scale
+    v, route = _route_of(fs.build_frame(3, mat.T), caplog, mode="exact")
+    assert (f"columns: float attempt skipped ({error}), so two-phase, "
+            "exact; both phases") in route
+    assert not v.scalable and v.resolved_by == "exact"
+    assert v.certificate.margin_exact > 0
 
 
 # --- cross-route invariants ---------------------------------------------------

@@ -10,17 +10,17 @@ a subset of their support, of at most dim span{phi_k phi_k^T} columns.
 Once the full frame is known scalable, separators prune the enumeration,
 which both queries run through one walk (``_SubsetSearch.walk``).  A
 direction h with <F(phi_k), h> > 0 for every k in a subset T keeps 0 out
-of the convex hull of F_T, so T is not scalable.  Frames of small
-redundancy are scalable only on a nowhere dense set, so almost every
-candidate of at most d columns has an affine hull that misses the origin,
-and its point x nearest the origin is such an h.  In float mode the walk
-finds those x for a whole chunk of candidates with one batched solve
-(``_separated``) and skips ``decide`` on each candidate x certifies.  The
-other candidates go through the separators kept from earlier decides: a
-kept h that clears the threshold on every column of a candidate rejects
-it without an LP.  Either test is the re-verification of h on the
-candidate.  A kept h is stored as the bit mask of the columns it clears,
-so its test is one sub-mask check.
+of the convex hull of F_T, so T is not scalable, and neither is any
+subset of the columns h clears.  Frames of small redundancy are scalable
+only on a nowhere dense set, so almost every candidate of at most d
+columns has an affine hull that misses the origin, and its point x
+nearest the origin is such an h.  In float mode the walk finds those x
+for many candidates with one batched solve (``_separated``).  It keeps,
+for each x that certifies its own candidate and for each separator of an
+earlier ``decide``, the boolean row of the columns it clears, and rejects
+without an LP every candidate that lies inside a kept row.  That test is
+the re-verification of h on the candidate, and one matrix product tests
+a whole chunk of candidates against every row.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .frames import (Frame, ScalingWeights, _rank_of_singular_values,
 DEFAULT_SUBSET_BUDGET = 10 ** 6
 DEFAULT_ORTHO_TOL = 1e-10
 REDUCE_TOL = 1e-8  # relative residual the weights of a reduction must meet
-CHUNK_FIRST, CHUNK_CAP = 8, 256  # candidates per batched least-norm test
+CHUNK_FIRST, CHUNK_CAP = 8, 1024  # candidates per chunk of the walk
+CHUNK_SAMPLE = 64  # candidates of a chunk solved before the others
 
 logger = logging.getLogger(__name__)
 
@@ -77,82 +78,99 @@ class _SubsetSearch:
     each size in ``combinations`` order, skipping those that a separator
     already shows not scalable.
 
-    In float mode, candidates of at most d columns, the ones whose affine
-    hull generically misses the origin, come in chunks of ``CHUNK_FIRST``
-    doubling up to ``CHUNK_CAP``, and ``_separated`` tests each chunk with
-    one batched least-norm solve.  A candidate it certifies skips
-    ``decide``.  Small first chunks keep a search that accepts an early
-    candidate from paying for a large chunk.
-
-    The other candidates go through the kept separators.  Each is a bit
-    mask, a Python int with bit k set when <F(phi_k), h> is above the
-    threshold.  A candidate whose own mask is a sub-mask of a kept one is
-    rejected without an LP.  Only maximal masks are kept, since a
-    candidate under a dropped mask is under the one that dropped it.
-    Float mode keeps the normalized ``Separator.h`` with
-    ``DEFAULT_BOUNDARY_BAND`` as the threshold, the margin ``decide``
+    The separators found so far are kept as the boolean ``rows``, one per
+    separator h, true in column k when <F(phi_k), h> is above the
+    threshold.  A candidate whose columns are all true in one row is
+    rejected without an LP.  Only maximal rows are kept, since a candidate
+    under a dropped row is under the row that dropped it.  A separator of
+    ``decide`` is kept as the normalized ``Separator.h`` in float mode,
+    with ``DEFAULT_BOUNDARY_BAND`` as the threshold, the margin ``decide``
     accepts a float separator with, so a candidate on which h falls inside
     the band still goes to ``decide``.  Exact mode keeps
     ``Separator.h_exact`` with threshold 0 over the rational F-image, so
-    every rejection is a proof.  The F-image is built when the walk or the
-    first separator needs it.
+    every rejection is a proof.
+
+    The walk takes candidates in chunks: ``CHUNK_FIRST`` first, so that a
+    search that accepts an early candidate pays little, then
+    ``CHUNK_CAP``.  Each chunk is tested against the rows at once.  In
+    float mode, the candidates of at most d columns, the ones whose affine
+    hull generically misses the origin, that no row rejects go to
+    ``_separated``: first an evenly spread sample of ``CHUNK_SAMPLE`` of
+    them, then those that the sample's rows leave.  The row of each
+    least-norm point x it certifies is kept, with threshold
+    ``DEFAULT_BOUNDARY_BAND`` |x|_inf, so one x rejects every candidate
+    inside the columns it clears, not only its own.  The F-image is built
+    when the walk or the first separator needs it.
     """
 
     def __init__(self, frame: Frame, mode: str):
         self.frame = frame
         self.mode = mode
         self.g = None
-        self.masks = []
-        self.tried = self.rejected = 0
+        self.rows = np.zeros((0, frame.m), dtype=bool)
+        self.tried = self.rejected = self.solved = 0
 
     def walk(self, pool, m: int, accept, budget: int):
         """The first size-m subset of ``pool`` whose verdict passes
         ``accept``, with that verdict, or None when there is none.
 
         Every candidate counts in ``tried``, and one that a separator
-        rejects without ``decide`` also in ``rejected``.  The walk raises
+        rejects without ``decide`` also in ``rejected``; ``solved`` counts
+        the systems of the batched least-norm solve.  The walk raises
         ``BudgetExceeded`` rather than try more than ``budget`` candidates
         over the life of the search.
         """
         candidates = combinations(pool, m)
+        left = comb(len(pool), m)
         batched = self.mode == "float" and m <= self._image().shape[0]
         size = CHUNK_FIRST
-        while True:
-            room = max(min(size, budget - self.tried), 0)
-            chunk = list(islice(candidates, room))
-            if not chunk:
-                if room == 0 and next(candidates, None) is not None:
-                    raise BudgetExceeded(
-                        f"more than {budget} subsets in the search")
-                return None
-            size = min(2 * size, CHUNK_CAP)
-            if batched:
-                cols = np.fromiter(chain.from_iterable(chunk), np.intp,
-                                   count=len(chunk) * m).reshape(-1, m)
-                todo = np.flatnonzero(~_separated(self.g, cols)).tolist()
-            else:
-                todo = range(len(chunk))
+        while left:
+            room = min(size, budget - self.tried, left)
+            if room <= 0:
+                raise BudgetExceeded(
+                    f"more than {budget} subsets in the search")
+            cols = np.fromiter(chain.from_iterable(islice(candidates, room)),
+                               np.intp, count=room * m).reshape(room, m)
+            left -= room
+            size = CHUNK_CAP
+            todo = np.flatnonzero(~self._covered(cols))
+            if batched and todo.size:
+                step = -(-todo.size // CHUNK_SAMPLE)
+                self._certify(cols[todo[::step]])
+                todo = todo[~self._covered(cols[todo])]
+                if step > 1 and todo.size:
+                    self._certify(cols[todo])
+                    todo = todo[~self._covered(cols[todo])]
             done = 0
-            for i in todo:
+            for i in todo.tolist():
                 self.tried += i - done
                 self.rejected += i - done
                 done = i + 1
-                v = self.decide(chunk[i])
+                idx = tuple(cols[i].tolist())
+                v = self.decide(idx)
                 if v is not None and accept(v):
-                    return chunk[i], v
-            self.tried += len(chunk) - done
-            self.rejected += len(chunk) - done
+                    return idx, v
+            self.tried += room - done
+            self.rejected += room - done
+        return None
 
     def decide(self, idx: tuple) -> Verdict | None:
         """The verdict on ``idx``, or None when a kept separator rejects it."""
         self.tried += 1
-        if self._covered(_mask(idx)):
+        if self._covered(np.array([idx], dtype=np.intp))[0]:
             self.rejected += 1
             return None
         v = decide(self.frame, idx, mode=self.mode)
         if isinstance(v.certificate, Separator):
-            self._keep(v.certificate)
+            self._keep(self._row(v.certificate)[None])
         return v
+
+    def _row(self, sep: Separator) -> np.ndarray:
+        """The columns that a separator of ``decide`` clears."""
+        if self.mode == "exact":
+            h = np.array(sep.h_exact, dtype=object)
+            return (h @ self._image() > 0).astype(bool)
+        return sep.h @ self._image() > DEFAULT_BOUNDARY_BAND
 
     def _image(self) -> np.ndarray:
         """The F-image of the frame, rational in exact mode."""
@@ -163,62 +181,73 @@ class _SubsetSearch:
                       else f_image(self.frame).matrix)
         return self.g
 
-    def _keep(self, sep: Separator) -> None:
-        if self.mode == "exact":
-            row = np.array(sep.h_exact, dtype=object) @ self._image() > 0
-        else:
-            row = sep.h @ self._image() > DEFAULT_BOUNDARY_BAND
-        mask = _mask(np.flatnonzero(row).tolist())
-        if not self._covered(mask):
-            self.masks = [kept for kept in self.masks if kept & mask != kept]
-            self.masks.append(mask)
+    def _certify(self, cols: np.ndarray) -> None:
+        """Keep the rows that ``_separated`` certifies for the candidates
+        ``cols``."""
+        self.solved += len(cols)
+        self._keep(_separated(self.g, cols))
 
-    def _covered(self, mask: int) -> bool:
-        """Is ``mask`` a sub-mask of a kept one?"""
-        return any(mask & kept == mask for kept in self.masks)
+    def _covered(self, cols: np.ndarray) -> np.ndarray:
+        """Which candidates, the rows of ``cols``, lie inside a kept row:
+        those with as many columns in some row as they have columns."""
+        members = np.zeros((len(cols), self.frame.m), dtype=np.float32)
+        members[np.arange(len(cols))[:, None], cols] = 1.0
+        hits = self.rows.astype(np.float32) @ members.T
+        return (hits == cols.shape[1]).any(axis=0)
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Add the nonempty ``rows`` to the kept ones, keeping only the
+        maximal rows, and the first of equal ones."""
+        if not rows.any():
+            return
+        rows = np.concatenate([self.rows, rows[rows.any(axis=1)]])
+        ones = rows.astype(np.float32)
+        inside = (1.0 - ones) @ ones.T == 0.0  # [j, i]: row i inside row j
+        order = np.arange(len(rows))
+        before = order[:, None] < order  # [j, i]: row j comes before row i
+        self.rows = rows[~(inside & (~inside.T | before)).any(axis=0)]
 
     def log(self, query: str) -> None:
-        logger.debug("%s: %d subsets enumerated, %d rejected by a separator "
-                     "without decide, %d sent to decide", query, self.tried,
-                     self.rejected, self.tried - self.rejected)
+        logger.debug("%s: %d subsets enumerated, %d sent to the batched "
+                     "least-norm solve, %d rejected by a separator without "
+                     "decide, %d sent to decide", query, self.tried,
+                     self.solved, self.rejected, self.tried - self.rejected)
 
 
 def _separated(g: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """Which candidates, the rows of ``chunk``, each of at most d columns
-    of the float F-image g, the least-norm separator shows not scalable.
+    """The columns of the float F-image g that the least-norm separator of
+    each candidate clears, one boolean row per candidate (a row of
+    ``chunk``, of at most d columns), false throughout for a candidate it
+    does not certify.
 
     For a candidate with transformed columns R' and largest squared column
-    norm c, one batched solve gives y = K^-1 1 with K = R R' / c + 1 1',
+    norm c, one batched solve gives y = K^-1 1 with K = R R' + c 1 1',
     and x = R' y / 1'y is the point of its affine hull nearest the origin
-    (``feasibility._least_norm``).  The candidate is certified when
-    min_k <x, g_k> > ``DEFAULT_BOUNDARY_BAND`` |x|_inf, the margin rule
-    of ``decide`` and of the kept masks; that test re-verifies x on the
-    candidate's own columns, however accurate y is.  A chunk with a zero
+    (``feasibility._least_norm`` solves the system divided by c).  Its
+    row is <x, g_k> > ``DEFAULT_BOUNDARY_BAND`` |x|_inf over all columns
+    k, the margin rule of ``decide`` and of the kept rows, and the
+    candidate is certified when its own columns are all in the row; that
+    test re-verifies x, however accurate y is.  A chunk with a zero
     column, a singular K or a non-finite x certifies nothing.
     """
-    none = np.zeros(len(chunk), dtype=bool)
+    none = np.zeros((len(chunk), g.shape[1]), dtype=bool)
     r = g.T[chunk]
-    sq = np.einsum("bkd,bkd->bk", r, r)
-    if not np.all(sq > 0.0):
+    k = r @ r.transpose(0, 2, 1)
+    sq = k.diagonal(axis1=1, axis2=2)
+    if not (sq > 0.0).all():
         return none
-    k = r @ r.transpose(0, 2, 1) / np.max(sq, axis=1)[:, None, None] + 1.0
+    k += sq.max(axis=1)[:, None, None]
     try:
         y = np.linalg.solve(k, np.ones(chunk.shape + (1,)))
     except np.linalg.LinAlgError:
         return none
-    x = (y.transpose(0, 2, 1) @ r)[:, 0] / np.sum(y, axis=1)
-    if not np.all(np.isfinite(x)):
+    x = (y.transpose(0, 2, 1) @ r)[:, 0] / y.sum(axis=1)
+    if not np.isfinite(x).all():
         return none
-    margin = np.min((r @ x[:, :, None])[..., 0], axis=1)
-    return margin > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x), axis=1)
-
-
-def _mask(columns) -> int:
-    """The bit mask of a set of column indices."""
-    mask = 0
-    for k in columns:
-        mask |= 1 << k
-    return mask
+    rows = x @ g > DEFAULT_BOUNDARY_BAND * np.abs(x).max(axis=1, keepdims=True)
+    rows &= rows[np.arange(len(chunk))[:, None], chunk].all(axis=1,
+                                                           keepdims=True)
+    return rows
 
 
 def orthogonal_subbasis(frame: Frame) -> tuple | None:
@@ -231,18 +260,22 @@ def orthogonal_subbasis(frame: Frame) -> tuple | None:
     each other.
     """
     norms = frame.norms()
-    cand = [k for k in range(frame.m) if norms[k] > 0.0]
+    gram = np.abs(frame.matrix.T @ frame.matrix)
+    orthogonal = gram <= DEFAULT_ORTHO_TOL * np.outer(norms, norms)
+    # A member is orthogonal to the N - 1 others, all of them nonzero.
+    nonzero = norms > 0.0
+    partners = orthogonal[:, nonzero].sum(axis=1)
+    cand = np.flatnonzero(nonzero & (partners >= frame.n - 1)).tolist()
     if len(cand) < frame.n:
         return None
-    gram = np.abs(frame.matrix.T @ frame.matrix)
-    bound = DEFAULT_ORTHO_TOL * np.outer(norms, norms)
+    orthogonal = orthogonal.tolist()
 
     def extend(chosen: list, start: int):
         if len(chosen) == frame.n:
             return tuple(chosen)
         for pos in range(start, len(cand)):
             k = cand[pos]
-            if all(gram[k, c] <= bound[k, c] for c in chosen):
+            if all(orthogonal[k][c] for c in chosen):
                 hit = extend(chosen + [k], pos + 1)
                 if hit:
                     return hit

@@ -1390,3 +1390,65 @@ def test_sign_witness_implies_not_scalable():
         wit = fs.sign_quick_reject(f)
         if wit is not None:
             assert not fs.decide(f).scalable
+
+
+# --- known float/exact contradictions (strict xfails) -------------------------
+# Each case fails today and names the open fault it reproduces; the change
+# that mends the fault turns its xfail into a pass, which strict=True reports.
+
+def _with_column_scaled(mat, factor):
+    mat = np.array(mat, dtype=float)
+    mat[:, 0] *= factor
+    return fs.build_frame(mat.shape[0], mat.T)
+
+
+@pytest.mark.xfail(strict=True, raises=fs.Infeasible, reason=(
+    "FOUND (ROADMAP item 1): verdicts depend on the column scale; a "
+    "strictly scalable frame with one column scaled by 1e8 raises "
+    "Infeasible in float mode"))
+def test_a_long_column_keeps_the_strict_verdict():
+    f = _with_column_scaled(
+        random_scalable_frame(np.random.default_rng(5), 4, 13).matrix, 1e8)
+    exact = fs.decide(f, mode="exact")
+    assert exact.scalable and exact.strict
+    v = fs.decide(f)
+    assert v.scalable and v.strict
+
+
+def _cone_gaussian(rng, n, m):
+    """Gaussian columns inside the cone x'Qx > |x|^2 lambda_max(Q) / 10 of
+    a trace-free form Q, so not scalable by construction (the generator
+    of the benchmark's cone frames)."""
+    a = rng.standard_normal((n, n))
+    q = (a + a.T) / 2.0
+    q -= np.trace(q) / n * np.eye(n)
+    floor = np.linalg.eigvalsh(q)[-1] / 10.0
+    cols = []
+    while len(cols) < m:
+        x = rng.standard_normal(n)
+        if x @ q @ x > floor * (x @ x):
+            cols.append(x)
+    return np.column_stack(cols)
+
+
+@pytest.mark.xfail(strict=True, raises=fs.Infeasible, reason=(
+    "FOUND (ROADMAP item 1): verdicts depend on the column scale; a cone "
+    "frame with one column scaled by 1e-8 raises Infeasible in float mode"))
+def test_a_short_column_keeps_the_cone_verdict():
+    f = _with_column_scaled(
+        _cone_gaussian(np.random.default_rng(3), 4, 13), 1e-8)
+    assert not fs.decide(f, mode="exact").scalable
+    assert not fs.decide(f).scalable
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND (ROADMAP item 6): float decide is silently overconfident when "
+    "m <= d; it says strictly scalable, unflagged, where exact mode says "
+    "not scalable"))
+@pytest.mark.parametrize("seed", range(4))
+def test_float_verdict_at_m_below_d_agrees_with_exact_or_is_flagged(seed):
+    f = random_scalable_frame(np.random.default_rng(seed), 3, 4)
+    exact = fs.decide(f, mode="exact")
+    v = fs.decide(f)
+    assert v.boundary_flag or (v.scalable, v.strict) == \
+        (exact.scalable, exact.strict)

@@ -452,10 +452,13 @@ def test_index_search_reuses_separators(monkeypatch, caplog):
     # subsets of size 9.
     assert len(calls) <= 100
     [rec] = [r for r in caplog.records if r.name == "framescale.subsets"]
-    query, enumerated, rejected, decided = rec.args
+    query, enumerated, solved, rejected, decided = rec.args
     assert query == "scalability_index"
     assert (enumerated, decided) == (715, len(calls) - 1)
     assert rejected == enumerated - decided > 0
+    # The rows of the first certified candidates reject most of the others
+    # before the batched least-norm solve, which used to take all 715.
+    assert 0 < solved <= 120
 
 
 def test_rejected_subsets_count_against_the_budget(monkeypatch):
@@ -475,9 +478,9 @@ def test_kept_separator_rejects_only_above_its_threshold(mode, monkeypatch):
     # x1 x2: 0 on the basis, 1 and 2 on columns 2 and 3, 5e-10 on column 4.
     f = fs.build_frame(2, [(1, 0), (0, 1), (1, 1), (1, 2), (1, 5e-10)])
     search = subsets._SubsetSearch(f, mode)
-    search._keep(fs.Separator(h=np.array([0.0, 1.0]), margin=1.0,
-                              indices=(2, 3),
-                              h_exact=(Fraction(0), Fraction(1))))
+    search._keep(search._row(fs.Separator(
+        h=np.array([0.0, 1.0]), margin=1.0, indices=(2, 3),
+        h_exact=(Fraction(0), Fraction(1))))[None])
     calls = _count_decides(monkeypatch)
     assert search.decide((2, 3)) is None
     assert search.decide((0, 1)).scalable  # h is 0 there: no rejection
@@ -486,11 +489,11 @@ def test_kept_separator_rejects_only_above_its_threshold(mode, monkeypatch):
     assert len(calls) == 1 + (mode == "float")
 
 
-# --- bit-mask pruning ---------------------------------------------------------
+# --- pruning by kept rows ----------------------------------------------------
 
 def _reference_row(search, sep):
-    """The columns a kept separator clears, as the boolean-matrix rule that
-    the bit masks replace computed them."""
+    """The columns a kept separator clears, computed afresh by the
+    boolean-matrix rule."""
     f = search.frame
     if search.mode == "exact":
         g = np.array([f_vector_exact(c) for c in frame_to_fractions(f)],
@@ -501,11 +504,11 @@ def _reference_row(search, sep):
 
 @pytest.mark.parametrize("mode, n, m, sizes", [("float", 4, 13, (9, 8)),
                                                ("exact", 3, 7, (5, 4))])
-def test_bit_masks_reject_as_the_boolean_rule(mode, n, m, sizes):
+def test_kept_rows_reject_as_the_boolean_rule(mode, n, m, sizes):
     f = random_scalable_frame(np.random.default_rng(3), n, m)
     search = subsets._SubsetSearch(f, mode)
     pos = np.zeros((0, m), dtype=bool)
-    rejected = equal_masks = kept = 0
+    rejected = equal_rows = kept = 0
     for idx in (idx for size in sizes for idx in combinations(range(m), size)):
         expect = bool(pos[:, list(idx)].all(axis=1).any())
         v = search.decide(idx)
@@ -515,17 +518,18 @@ def test_bit_masks_reject_as_the_boolean_rule(mode, n, m, sizes):
             continue
         row = _reference_row(search, v.certificate)
         pos = np.vstack([pos, row])
-        # A candidate whose mask equals the kept mask is rejected too.
+        # A candidate whose columns are exactly the kept row is rejected too.
         same = tuple(np.flatnonzero(row).tolist())
         kept += 1
-        equal_masks += subsets._mask(same) in search.masks
+        equal_rows += bool((search.rows == row).all(axis=1).any())
         assert search.decide(same) is None
-    assert rejected > 0 and equal_masks > 0
+    assert rejected > 0 and equal_rows > 0
     assert search.rejected == rejected + kept
-    # Only maximal masks are kept.
-    assert len(search.masks) < kept
-    assert not any(a != b and a & b == a
-                   for a in search.masks for b in search.masks)
+    # Only maximal rows are kept, each once.
+    assert len(search.rows) < kept
+    assert not any(i != j and (a <= b).all()
+                   for i, a in enumerate(search.rows)
+                   for j, b in enumerate(search.rows))
 
 
 def _planted_4x13(rng, s):
@@ -570,7 +574,11 @@ def _assert_certified_are_separated(f, sizes):
     certified = separated = 0
     for size in sizes:
         chunk = np.array(list(combinations(range(f.m), size)))
-        for idx, cert in zip(chunk, subsets._separated(g, chunk)):
+        rows = subsets._separated(g, chunk)
+        # A certified candidate lies inside its own row; the others get none.
+        own = rows[np.arange(len(chunk))[:, None], chunk].all(axis=1)
+        np.testing.assert_array_equal(own, rows.any(axis=1))
+        for idx, cert in zip(chunk, own):
             v = fs.decide(f, idx)
             is_separated = isinstance(v.certificate, fs.Separator)
             separated += is_separated
@@ -600,11 +608,50 @@ def test_every_certified_brute_force_candidate_is_separated(name, request):
     assert certified <= separated
 
 
+def _assert_rejected_are_separated(f, sizes):
+    """Walk every subset of ``sizes`` in one search, with one store of rows,
+    and check each candidate rejected through a kept row with ``decide``."""
+    search = subsets._SubsetSearch(f, "float")
+    covered = search._covered
+    rejected = set()
+
+    def recording(cols):
+        hit = covered(cols)
+        rejected.update(map(tuple, cols[hit].tolist()))
+        return hit
+
+    search._covered = recording
+    for size in sizes:
+        assert search.walk(range(f.m), size, lambda v: False, 10 ** 6) is None
+    assert len(rejected) == search.rejected
+    for idx in rejected:
+        v = fs.decide(f, idx)
+        assert not v.scalable and not v.boundary_flag, idx
+    return rejected, search.solved
+
+
+@pytest.mark.parametrize("name", CERTIFY_FRAMES)
+def test_every_candidate_a_kept_row_rejects_is_separated(name):
+    f = CERTIFY_FRAMES[name]()
+    rejected, solved = _assert_rejected_are_separated(f, (9, 6))
+    # Rows born in a batch reject candidates that were never solved.
+    assert solved < len(rejected)
+
+
+@pytest.mark.parametrize("name", BRUTE_FRAMES)
+def test_every_brute_force_candidate_a_kept_row_rejects_is_separated(
+        name, request):
+    make = BRUTE_FRAMES[name]
+    f = make() if make else request.getfixturevalue(name)
+    d = fs.f_image(f).matrix.shape[0]
+    _assert_rejected_are_separated(f, range(f.n, min(d, f.m) + 1))
+
+
 def test_a_repeated_or_zero_column_certifies_nothing_in_its_chunk():
     f = CERTIFY_FRAMES["gaussian"]()
     g = fs.f_image(f).matrix
     chunk = np.array(list(combinations(range(f.m), 6))[:64])
-    assert subsets._separated(g, chunk).all()
+    assert subsets._separated(g, chunk).any(axis=1).all()
     repeated = chunk.copy()
     repeated[-1, 1] = repeated[-1, 0]  # K exactly singular
     assert not subsets._separated(g, repeated).any()

@@ -1,14 +1,19 @@
-"""Exact rational linear algebra for the verification back-end.
+"""Exact rational arithmetic for the verification back-end.
 
 Float verdicts elsewhere in the package are cross-checked against routines
-in this module, so everything here works over ``Fraction`` entries and is
-deliberately independent of the numpy code paths: the transform is
-re-evaluated in rational arithmetic, and feasibility of the normalized
-weight polytope is decided by enumerating its basic solutions.  One
-elimination serves every solve: fraction-free (Bareiss) elimination over
-integers, ``fraction_free_echelon``.  Ranks read its pivots, kernels
-back-substitute its rows, square systems are read off a kernel, and the
-vertex enumeration solves over its rows.
+in this module, which are deliberately independent of the numpy code
+paths.  One exact representation serves every exact caller: the frame's
+columns as integer vectors over one common denominator D
+(``integer_columns``; a float is the dyadic rational it represents), and
+their transform, which is then an integer matrix over D^2 because F is
+quadratic (``f_image_exact``).  Checking a direction on it is a product
+of integers.  ``Fraction`` columns are built from that image only where a
+rational LP runs.  Feasibility of the normalized weight polytope is
+decided by enumerating its basic solutions.  One elimination serves every
+solve: fraction-free (Bareiss) elimination over integers,
+``fraction_free_echelon``.  Ranks read its pivots, kernels back-substitute
+its rows, square systems are read off a kernel, and the vertex enumeration
+solves over its rows.
 
 Instances are small by contract (a dozen columns or so), which keeps the
 enumeration and the big-integer growth trivial.
@@ -19,6 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import TooLarge
 
@@ -51,13 +59,62 @@ def frame_to_fractions(frame, rational=None) -> list[list[Fraction]]:
     return to_fractions(frame.columns)
 
 
+def integers(values) -> tuple[list[int], int]:
+    """Rationals (ints, floats or ``Fraction``s) as integers over their
+    least common denominator D: the list of D v, and D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
+def integer_columns(frame, rational=None) -> tuple[list[list[int]], int]:
+    """The columns of ``frame`` as integer vectors D phi_k over one common
+    denominator D, and D: the frame's floats, or the ``rational`` entries
+    of ``frame_to_fractions``."""
+    if rational is None:
+        values = frame.matrix.T.ravel().tolist()
+    else:
+        values = [v for col in frame_to_fractions(frame, rational)
+                  for v in col]
+    flat, den = integers(values)
+    return [flat[i:i + frame.n] for i in range(0, len(flat), frame.n)], den
+
+
 def f_vector_exact(x: list[Fraction]) -> list[Fraction]:
-    """Rational re-implementation of the quadratic transform ([] at N = 1)."""
+    """Rational re-implementation of the quadratic transform ([] at N = 1);
+    integer entries give an integer vector."""
     n = len(x)
     out = [x[0] * x[0] - x[l] * x[l] for l in range(1, n)]
     for k in range(n - 1):
         out.extend(x[k] * x[j] for j in range(k + 1, n))
     return out
+
+
+_FRACTION = np.frompyfunc(Fraction, 2, 1)
+
+
+class Image(NamedTuple):
+    """The exact F-image of some columns: the integer d x k matrix ``g``
+    over the denominator ``den``, so column k is F(phi_k) = g_k / den."""
+
+    g: np.ndarray  # object dtype, Python ints
+    den: int
+
+    def floats(self) -> np.ndarray:
+        """F(phi_k), each entry rounded to the nearest float; raises
+        ``OverflowError`` rather than round to inf."""
+        return (self.g / self.den).astype(float)
+
+    def fractions(self) -> np.ndarray:
+        """F(phi_k) as ``Fraction``s."""
+        return _FRACTION(self.g, self.den)
+
+
+def f_image_exact(cols: list[list[int]], den: int, subset) -> Image:
+    """The exact F-image of the columns ``subset`` of the integer columns
+    ``cols`` over the denominator ``den`` (``integer_columns``)."""
+    g = np.array([f_vector_exact(cols[k]) for k in subset], dtype=object)
+    return Image(g.T, den * den)
 
 
 def norm2_exact(x: list[Fraction]) -> Fraction:

@@ -35,15 +35,18 @@ as a two-phase simplex: its phase 1 is phase 1 on the weight polytope
 duals y = (h, s) satisfy -h'F(phi_k) >= s > 0 for every k, so -h is the
 separator.  The phase-2 point is the weights certificate.
 
-Mode ``"exact"`` runs this float program first on the rational columns
-rounded to floats.  A frame is not scalable exactly when some h has
-<h, F(phi_k)> > 0 for every k, so a float separator is a candidate proof:
-every float is a dyadic rational, and min_k <h, F(phi_k)> > 0 checked in
-``Fraction``s, O(d k) products, proves it with no rational pivot
-(``_exact_separator``, as QSopt_ex checks float LP answers).  When the
-float program finds weights, its separator fails that check, or the
+Mode ``"exact"`` reads the frame as integer columns over one common
+denominator, whose transform is an integer matrix (``exact.Image``), and
+runs this float program first on that image rounded to floats.  A frame
+is not scalable exactly when some h has <h, F(phi_k)> > 0 for every k, so
+a float separator is a candidate proof: every float is a dyadic rational,
+so h scales to an integer vector H, and min_k <H, G_k> > 0 over the
+integer image G, O(d k) integer products, proves it with no rational
+pivot (``_exact_separator``, as QSopt_ex checks float LP answers).  When
+the float program finds weights, its separator fails that check, or the
 columns overflow a float, the two-phase program runs with rational
-pivots, so scalable exact verdicts always come from it.
+pivots on ``Fraction`` columns, so scalable exact verdicts always come
+from it, and its Farkas separator passes the same check.
 
 Each certificate rule is stated once, here:
 
@@ -103,6 +106,8 @@ Wolfe = namedtuple("Wolfe", "x corral stop major minor refreshes",
                    defaults=(0,))
 # u and s* on a nonempty weight polytope, else the separator h
 WeightProgram = namedtuple("WeightProgram", "u s_star h route")
+# a separator checked in rationals: h at |h|_inf = 1 and its margin
+ExactSeparator = namedtuple("ExactSeparator", "h margin")
 
 
 @dataclass(frozen=True, slots=True)
@@ -479,8 +484,8 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
     refuses its basis.  The basis only picks where phase 2 starts, so s* is
     the same LP optimum.  Otherwise the two-phase simplex runs, and an
     empty weight polytope gives the separator h from the Farkas duals.
-    Over ``Fraction`` columns, ``_exact_program`` runs this program first
-    and the two-phase simplex only when its separator fails.  A scalable
+    On exact columns, ``_exact_program`` runs this program first and the
+    two-phase simplex only when its separator fails.  A scalable
     result carries u, the last basic point, and s*, ``None`` when phase 2
     stopped short of its optimum.  ``route`` names the way taken, Wolfe's
     cycles and refreshes of K^-1, and the simplex pivots.  The s column is
@@ -507,42 +512,54 @@ def _max_min_weight(g: np.ndarray) -> WeightProgram:
                           f"two-phase fallback ({why}) after {cycles}")
 
 
-def _exact_separator(h: np.ndarray, g: np.ndarray):
-    """The float direction h as exact ``Fraction``s, every float being a
-    dyadic rational, when it separates the ``Fraction`` columns g, that is
-    when its ``separator_margin`` over them is positive; else None."""
-    if not (np.all(np.isfinite(h)) and np.any(h)):
+def _exact_separator(h: np.ndarray, g: exact.Image) -> ExactSeparator | None:
+    """Check the float direction h on the exact columns g.  Every float is
+    a dyadic rational, so h scales to the integer vector H
+    (``exact.integers``), and it separates when min_k <H, G_k> is positive
+    over the integer image G.  Returns h at |h|_inf = 1 with its exact
+    ``separator_margin``, min_k <H, G_k> / (|H|_inf den), in
+    ``Fraction``s; else None."""
+    if not np.all(np.isfinite(h)):
         return None
-    h_q = np.array([Fraction(v) for v in h.tolist()], dtype=object)
-    return h_q if separator_margin(h_q, g) > 0 else None
+    big = exact.integers(h.tolist())[0]
+    top = max(map(abs, big))
+    if top == 0:
+        return None
+    low = min(np.array(big, dtype=object) @ g.g)
+    if low <= 0:
+        return None
+    return ExactSeparator(tuple(Fraction(v, top) for v in big),
+                          Fraction(low, top * g.den))
 
 
-def _float_attempt(g: np.ndarray):
-    """The float program (``_max_min_weight``) on the ``Fraction`` columns
-    g rounded to floats, and None; or None and why it did not run: a
-    column overflows a float (``Fraction`` raises ``OverflowError`` rather
-    than round to inf), or the program raised an error or a floating-point
+def _float_attempt(g: exact.Image):
+    """The float program (``_max_min_weight``) on the exact columns g
+    rounded to floats, and None; or None and why it did not run: a column
+    overflows a float (the rounding raises ``OverflowError`` rather than
+    round to inf), or the program raised an error or a floating-point
     exception.  Its result counts only once checked."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _max_min_weight(g.astype(float)), None
+            return _max_min_weight(g.floats()), None
     except (ArithmeticError, ValueError, FrameScaleError,
             RuntimeWarning) as exc:
         return None, f"float attempt skipped ({type(exc).__name__})"
 
 
-def _exact_program(g: np.ndarray, prog: WeightProgram | None = None,
+def _exact_program(g: exact.Image, prog: WeightProgram | None = None,
                    lp: bool = True) -> WeightProgram | None:
-    """The max-min-weight program on the ``Fraction`` columns g, exactly.
+    """The max-min-weight program on the exact columns g, exactly.
 
     The float program runs first, unless the caller passes its result
     ``prog``.  A separator that passes its check in rationals
     (``_exact_separator``) is the answer, with no rational pivot.
-    Otherwise the two-phase simplex runs with rational pivots, and its
-    route says why: the float program found weights, its separator failed
-    the check, or the attempt was skipped.  With ``lp`` False, None
-    stands for that simplex.  Scalable verdicts thus always come from the
-    rational LP."""
+    Otherwise the two-phase simplex runs with rational pivots on the
+    ``Fraction`` columns, and its route says why: the float program found
+    weights, its separator failed the check, or the attempt was skipped.
+    With ``lp`` False, None stands for that simplex.  Scalable verdicts
+    thus always come from the rational LP.  A checked float separator
+    comes back as its ``ExactSeparator``, and a Farkas one as the
+    ``Fraction`` direction that ``_package_separator`` checks."""
     route = ""
     if prog is None:
         prog, why = _float_attempt(g)
@@ -556,7 +573,7 @@ def _exact_program(g: np.ndarray, prog: WeightProgram | None = None,
                else "float separator failed its exact check")
     if not lp:
         return None
-    return _solve_program(*_program(g), None,
+    return _solve_program(*_program(g.fractions()), None,
                           f"{route}{why}, so two-phase, exact")
 
 
@@ -577,15 +594,15 @@ def _solve_program(a, b, c, basis, route: str) -> WeightProgram:
                        res.status)
     # u = v + s 1, but an s that is not strict is rounding: v alone keeps
     # the support of the phase-2 vertex, at most d + 1 columns.
-    u = res.x[:k] + s if _strict(s, a) else res.x[:k]
+    u = res.x[:k] + s if _strict(s, a.dtype == object) else res.x[:k]
     return WeightProgram(u, s if res.status == simplex.OPTIMAL else None,
                          None, route)
 
 
-def _strict(s_star, g: np.ndarray) -> bool:
+def _strict(s_star, rational: bool) -> bool:
     """Does the max-min weight s* show strict scalability: is it above 0
-    over ``Fraction`` columns g, and above ``WOLFE_POS_TOL`` over floats?"""
-    return bool(s_star > (0 if g.dtype == object else WOLFE_POS_TOL))
+    over rational columns, and above ``WOLFE_POS_TOL`` over floats?"""
+    return bool(s_star > (0 if rational else WOLFE_POS_TOL))
 
 
 def separator_search(fi: FImage) -> tuple[float, np.ndarray]:
@@ -646,21 +663,30 @@ def _verified_weights(frame: Frame, g: np.ndarray, active, u_active,
     return w
 
 
-def _package_separator(g: np.ndarray, h: np.ndarray, indices) -> Separator:
-    """Scale h to |h|_inf = 1 and take its margin on the columns g.  Over
-    ``Fraction`` columns the margin must be positive, and the separator
-    keeps its exact direction and margin."""
-    scale = np.max(np.abs(h))
-    if scale == 0:
-        raise LPNumericalFailure("separator direction is zero")
-    hn = h / scale
-    margin = separator_margin(hn, g)  # |hn|_inf is exactly 1
-    sep = Separator(h=_frozen(hn), margin=float(margin), indices=tuple(indices))
-    if g.dtype != object:
-        return sep
-    if margin <= 0:
-        raise ArithmeticError("exact separator failed its margin check")
-    return replace(sep, h_exact=tuple(hn), margin_exact=margin)
+def _package_separator(g, h, indices) -> Separator:
+    """Scale h to |h|_inf = 1 and take its margin on the columns g, floats,
+    ``Fraction``s or an ``exact.Image`` (read as ``Fraction``s).  Over
+    exact columns the margin must be positive, and the separator keeps its
+    exact direction and margin.  An ``ExactSeparator`` h comes checked,
+    with both, and g is not read."""
+    if isinstance(h, ExactSeparator):
+        hn, margin = h
+    else:
+        scale = np.max(np.abs(h))
+        if scale == 0:
+            raise LPNumericalFailure("separator direction is zero")
+        hn = h / scale
+        if isinstance(g, exact.Image):
+            g = g.fractions()
+        margin = separator_margin(hn, g)  # |hn|_inf is exactly 1
+        if g.dtype != object:
+            return Separator(h=_frozen(hn), margin=float(margin),
+                             indices=tuple(indices))
+        if margin <= 0:
+            raise ArithmeticError("exact separator failed its margin check")
+    return Separator(h=_frozen(hn), margin=float(margin),
+                     indices=tuple(indices), h_exact=tuple(hn),
+                     margin_exact=margin)
 
 
 def _verdict_no_columns(subset) -> Verdict:
@@ -671,14 +697,16 @@ def _verdict_no_columns(subset) -> Verdict:
                    subset=subset, spans=False, resolved_by="float")
 
 
-def _decide_columns(prog: WeightProgram, g: np.ndarray, frame: Frame,
-                    subset, active, weights, rank) -> Verdict:
-    """The verdict on the columns g of the active subset from the result
-    ``prog`` of the max-min-weight program on them.  ``weights(u)``
-    packages and re-verifies the weights, and ``rank()`` gives the rank of
-    the subset, read only for a separated proper subset: ``build_frame``
-    refuses frames of rank below n, so all columns span."""
-    resolved_by = "exact" if g.dtype == object else "float"
+def _decide_columns(prog: WeightProgram, g, frame: Frame, subset, active,
+                    weights, rank) -> Verdict:
+    """The verdict on the columns g of the active subset, floats or an
+    ``exact.Image``, from the result ``prog`` of the max-min-weight
+    program on them.  ``weights(u)`` packages and re-verifies the weights,
+    and ``rank()`` gives the rank of the subset, read only for a separated
+    proper subset: ``build_frame`` refuses frames of rank below n, so all
+    columns span."""
+    rational = isinstance(g, exact.Image)
+    resolved_by = "exact" if rational else "float"
     if prog.u is None:
         sep = _package_separator(g, prog.h, active)
         spans = len(subset) == frame.m or rank() == frame.n
@@ -687,7 +715,7 @@ def _decide_columns(prog: WeightProgram, g: np.ndarray, frame: Frame,
                        subset=subset, spans=spans, resolved_by=resolved_by)
     s_star = prog.s_star
     return Verdict(scalable=True,
-                   strict=s_star is not None and _strict(s_star, g),
+                   strict=s_star is not None and _strict(s_star, rational),
                    certificate=weights(prog.u), boundary_flag=False,
                    t_star=0.0,
                    s_star=None if s_star is None else float(s_star),
@@ -731,7 +759,8 @@ def decide(frame: Frame, subset=None, mode: str = "float", *,
         raise ValueError(f"unknown mode {mode!r}")
     subset = _normalize_subset(frame, subset)
     if mode == "exact":
-        v, route = _decide_exact(frame, subset, rational)
+        v, route = _decide_exact(frame, subset,
+                                 exact.integer_columns(frame, rational))
     else:
         v, route = _decide_float(frame, subset, tol_tight, rational)
     logger.debug("decide (%s) on %d columns: %s", mode, len(subset), route)
@@ -748,7 +777,9 @@ def _decide_float(frame: Frame, subset, tol_tight, rational):
     can_escalate = len(active) <= EXACT_CAP
 
     def escalate(why: str, lp: bool = True):
-        v, route = _decide_exact(frame, subset, rational, prog, lp)
+        v, route = _decide_exact(frame, subset,
+                                 exact.integer_columns(frame, rational),
+                                 prog, lp)
         return (None if v is None else replace(v, boundary_flag=True),
                 f"{prog.route}; {why}, so exact: {route}")
 
@@ -827,22 +858,27 @@ def cone_pointed(fi: FImage) -> ConeFlags:
 
 # --- exact back-ends ----------------------------------------------------------
 
-def _exact_weights_to_scaling(frame: Frame, active, cols,
+def _exact_weights_to_scaling(frame: Frame, active, columns,
                               u_active) -> ScalingWeights:
+    """Rational weights on the ``active`` integer columns D phi_k of
+    ``columns`` (``exact.integer_columns``), normalized and checked."""
+    cols, den = columns
     total = sum(u_active, Fraction(0))
     u_norm = [v / total for v in u_active]
-    alpha = sum((u * exact.norm2_exact(cols[k])
-                 for u, k in zip(u_norm, active)), Fraction(0)) / frame.n
-    # The tightness identity must hold literally in rational arithmetic.
+    scaled = sum((u * exact.norm2_exact(cols[k])
+                  for u, k in zip(u_norm, active)), Fraction(0)) / frame.n
+    # The tightness identity must hold literally in rational arithmetic;
+    # on the columns D phi_k its constant is D^2 alpha.
     c = np.array([cols[k] for k in active], dtype=object)
-    if np.any((c.T * u_norm) @ c != np.eye(frame.n, dtype=int) * alpha):
+    if np.any((c.T * u_norm) @ c != np.eye(frame.n, dtype=int) * scaled):
         raise ArithmeticError("exact weights failed the tightness check")
     u_full = [Fraction(0)] * frame.m
     for u, k in zip(u_norm, active):
         u_full[k] = u
     return make_weights(frame, np.array([float(v) for v in u_full]),
                         normalize=False,
-                        u_exact=tuple(u_full), alpha_exact=alpha)
+                        u_exact=tuple(u_full),
+                        alpha_exact=scaled / (den * den))
 
 
 def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
@@ -852,10 +888,11 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     of the transformed subset is decided by enumerating the vertices of
     the normalized weight polytope; when the subset has no kernel, that
     system is inconsistent and the enumeration returns no vertex at once.
-    The dual branch is the verdict of ``decide(mode="exact")``, which must
-    agree: its separator is the certificate, the float one checked in
-    rationals or else the Farkas separator of the rational max-min-weight
-    program, and t* is that separator's exact margin at |h|_inf = 1.
+    The dual branch is the verdict of ``decide(mode="exact")`` on the same
+    exact image, which must agree: its separator is the certificate, the
+    float one checked in rationals or else the Farkas separator of the
+    rational max-min-weight program, and t* is that separator's exact
+    margin at |h|_inf = 1.
 
     Frame entries convert losslessly to rationals; pass ``rational`` when
     the intended entries are not float-representable (e.g. 50-digit
@@ -863,14 +900,15 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
     approximant, with the certificate margin quantifying its robustness.
     """
     subset = tuple(range(frame.m))
-    cols = exact.frame_to_fractions(frame, rational)
-    active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
+    columns = exact.integer_columns(frame, rational)
+    active = tuple(k for k in subset if any(columns[0][k]))
     if not active:
         return replace(_verdict_no_columns(subset), resolved_by="exact")
     if len(active) > EXACT_CAP:
         raise TooLarge(f"{len(active)} columns exceed the exact cap {EXACT_CAP}")
-    g_cols = [exact.f_vector_exact(cols[k]) for k in active]
-    g_rows = [[col[i] for col in g_cols] for i in range(len(g_cols[0]))]
+    # The rows of the integer image are those of F times den, which leaves
+    # {F u = 0, sum u = 1} unchanged.
+    g_rows = exact.f_image_exact(*columns, active).g.tolist()
 
     verts = exact.polytope_vertices(g_rows + [[1] * len(active)],
                                     [0] * len(g_rows) + [1])
@@ -885,38 +923,36 @@ def exact_oracle(frame: Frame, *, rational=None) -> Verdict:
                         for i in range(len(active))]
         else:
             u_active = list(verts[0])
-        w = _exact_weights_to_scaling(frame, active, cols, u_active)
+        w = _exact_weights_to_scaling(frame, active, columns, u_active)
         s_star = float(min(w.u_exact[k] for k in active)) if strict else 0.0
         return Verdict(scalable=True, strict=strict, certificate=w,
                        boundary_flag=False, t_star=0.0, s_star=s_star,
                        subset=subset, spans=True, resolved_by="exact")
 
-    v = _decide_exact(frame, subset, rational)[0]
+    v = _decide_exact(frame, subset, columns)[0]
     if v.scalable:
         raise ArithmeticError(
             "exact routes disagree: no vertex, yet the program finds weights")
     return v
 
 
-def _decide_exact(frame: Frame, subset, rational=None, prog=None,
-                  lp: bool = True):
+def _decide_exact(frame: Frame, subset, columns, prog=None, lp: bool = True):
     """Mode "exact" of ``decide``, so every verdict is exact: the program
-    of ``_exact_program`` on the rational columns, given the float result
-    ``prog`` when the caller has one.  Returns the verdict and the route;
-    the verdict is None when the float separator fails its check and
-    ``lp`` is False."""
-    cols = exact.frame_to_fractions(frame, rational)
-    active = tuple(k for k in subset if any(v != 0 for v in cols[k]))
+    of ``_exact_program`` on the exact image of the integer ``columns``
+    (``exact.integer_columns``), given the float result ``prog`` when the
+    caller has one.  Returns the verdict and the route; the verdict is
+    None when the float separator fails its check and ``lp`` is False."""
+    cols, den = columns
+    active = tuple(k for k in subset if any(cols[k]))
     if not active:
         return (replace(_verdict_no_columns(subset), resolved_by="exact"),
                 "no active columns")
-    g = np.array([exact.f_vector_exact(cols[k]) for k in active],
-                 dtype=object).T
+    g = exact.f_image_exact(cols, den, active)
     prog = _exact_program(g, prog, lp)
     if prog is None:
         return None, "float separator failed its exact check"
     return _decide_columns(
         prog, g, frame, subset, active,
-        lambda u: _exact_weights_to_scaling(frame, active, cols, list(u)),
+        lambda u: _exact_weights_to_scaling(frame, active, columns, list(u)),
         lambda: exact.rank_exact([[cols[k][i] for k in subset]
                                   for i in range(frame.n)])), prog.route

@@ -108,10 +108,11 @@ def svec(s: np.ndarray) -> np.ndarray:
 
 
 def outer_svec_rows(frame: Frame, subset=None) -> np.ndarray:
-    """Rows svec(phi_k phi_k^T) for k in ``subset`` (default: all)."""
-    idx = range(frame.m) if subset is None else subset
-    return np.vstack([svec(np.outer(frame.column(k), frame.column(k)))
-                      for k in idx])
+    """Rows svec(phi_k phi_k^T) for k in ``subset`` (default: all), built
+    for all k at once with the products and the order of ``svec``."""
+    x = frame.matrix if subset is None else frame.matrix[:, list(subset)]
+    i, j = np.triu_indices(frame.n, k=1)
+    return np.vstack([x * x, np.sqrt(2.0) * (x[i] * x[j])]).T
 
 
 def outer_dims(frame: Frame) -> OuterProductSet:

@@ -32,8 +32,8 @@ from math import comb
 
 import numpy as np
 
+from . import exact
 from .errors import BudgetExceeded, DimensionMismatch, NumericalStall
-from .exact import f_vector_exact, frame_to_fractions
 from .feasibility import (DEFAULT_BOUNDARY_BAND, WOLFE_POS_TOL, Separator,
                           Verdict, _caratheodory_push, decide)
 from .fmap import f_image
@@ -87,8 +87,9 @@ class _SubsetSearch:
     with ``DEFAULT_BOUNDARY_BAND`` as the threshold, the margin ``decide``
     accepts a float separator with, so a candidate on which h falls inside
     the band still goes to ``decide``.  Exact mode keeps
-    ``Separator.h_exact`` with threshold 0 over the rational F-image, so
-    every rejection is a proof.
+    ``Separator.h_exact``, scaled to integers, with threshold 0 over the
+    integer F-image of ``exact.f_image_exact``, so every rejection is a
+    proof.
 
     The walk takes candidates in chunks: ``CHUNK_FIRST`` first, so that a
     search that accepts an early candidate pays little, then
@@ -168,16 +169,16 @@ class _SubsetSearch:
     def _row(self, sep: Separator) -> np.ndarray:
         """The columns that a separator of ``decide`` clears."""
         if self.mode == "exact":
-            h = np.array(sep.h_exact, dtype=object)
+            h = np.array(exact.integers(sep.h_exact)[0], dtype=object)
             return (h @ self._image() > 0).astype(bool)
         return sep.h @ self._image() > DEFAULT_BOUNDARY_BAND
 
     def _image(self) -> np.ndarray:
-        """The F-image of the frame, rational in exact mode."""
+        """The F-image of the frame, over the integers in exact mode."""
         if self.g is None:
-            self.g = (np.array([f_vector_exact(c) for c in
-                                frame_to_fractions(self.frame)],
-                               dtype=object).T if self.mode == "exact"
+            self.g = (exact.f_image_exact(*exact.integer_columns(self.frame),
+                                          range(self.frame.m)).g
+                      if self.mode == "exact"
                       else f_image(self.frame).matrix)
         return self.g
 

@@ -1307,6 +1307,100 @@ def test_exact_decide_skips_the_float_attempt_on_overflow(
     assert v.certificate.margin_exact > 0
 
 
+def _fraction_margin(frame, h_exact, rational=None):
+    """The reference: ``separator_margin`` of h_exact over the ``Fraction``
+    F-columns of the frame."""
+    cols = exact.frame_to_fractions(frame, rational)
+    g = np.array([exact.f_vector_exact(c) for c in cols], dtype=object).T
+    return feasibility.separator_margin(np.array(h_exact, dtype=object), g)
+
+
+def _thirds_cone_frame(seed):
+    """A cone 3x7 frame with entries in thirds, as floats and as exact
+    ``Fraction``s, which the floats only approximate."""
+    ints = np.round(30 * _cone_frame(seed, 3, 7).matrix).astype(int)
+    rational = [[Fraction(int(v), 3) for v in col] for col in ints.T]
+    return fs.build_frame(3, ints.T / 3.0), rational
+
+
+INTEGER_CHECK_CASES = ([(f"cone{n}x{m}-{seed}", n, m, seed, 1.0)
+                        for n, m in [(3, 6), (3, 8), (4, 9), (4, 13)]
+                        for seed in range(3)]
+                       + [(f"cone3x7-{seed}-2^{p}", 3, 7, seed, 2.0 ** p)
+                          for seed in range(2) for p in (300, -300)])
+
+
+@pytest.mark.parametrize("name, n, m, seed, scale", INTEGER_CHECK_CASES)
+def test_integer_check_agrees_with_the_fraction_reference(name, n, m, seed,
+                                                          scale):
+    # _exact_separator checks h over the integer image; its direction and
+    # margin must be those of separator_margin over Fraction F-columns,
+    # and so must the verdict's, whichever way exact mode took.
+    f = fs.build_frame(n, (_cone_frame(seed, n, m).matrix * scale).T)
+    image = exact.f_image_exact(*exact.integer_columns(f), range(m))
+    v = fs.decide(f, mode="exact")
+    sep = v.certificate
+    assert not v.scalable and sep.margin_exact > 0
+    assert max(map(abs, sep.h_exact)) == 1
+    assert sep.margin_exact == _fraction_margin(f, sep.h_exact)
+    if scale != 1.0:
+        return
+    h = feasibility._max_min_weight(image.floats()).h
+    checked = feasibility._exact_separator(h, image)
+    hq = [Fraction(x) for x in h.tolist()]
+    top = max(map(abs, hq))
+    assert checked.h == tuple(x / top for x in hq) == sep.h_exact
+    assert checked.margin == _fraction_margin(f, checked.h) == sep.margin_exact
+    assert feasibility._exact_separator(-h, image) is None
+
+
+def test_integer_check_refuses_zero_margins_and_directions():
+    # h = (0, 1) reads x1 x2: 0 on the column (1, 0), 1 and 2 on the others.
+    f = fs.build_frame(2, [(1, 0), (1, 1), (1, 2)])
+    cols, den = exact.integer_columns(f)
+    image = exact.f_image_exact(cols, den, range(3))
+    for h in ([0.0, 1.0], [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]):
+        assert feasibility._exact_separator(np.array(h), image) is None
+    checked = feasibility._exact_separator(
+        np.array([0.0, 0.5]), exact.f_image_exact(cols, den, (1, 2)))
+    assert checked == ((0, 1), 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_check_reads_rational_entries(seed):
+    # Thirds are not dyadic: the common denominator is 3, and the check
+    # and the Farkas separator agree with the Fraction reference of the
+    # exact entries, not of their floats.
+    f, rational = _thirds_cone_frame(seed)
+    cols, den = exact.integer_columns(f, rational)
+    assert den == 3 and cols == [[int(3 * x) for x in c] for c in rational]
+    v = fs.decide(f, mode="exact", rational=rational)
+    sep = v.certificate
+    assert not v.scalable and v.resolved_by == "exact"
+    assert sep.margin_exact == _fraction_margin(f, sep.h_exact, rational) > 0
+    oracle = fs.exact_oracle(f, rational=rational).certificate
+    assert (oracle.h_exact, oracle.margin_exact) == (sep.h_exact,
+                                                     sep.margin_exact)
+
+
+def test_farkas_separator_agrees_with_the_fraction_reference(monkeypatch):
+    # The float program is made to return -h, so the rational LP's Farkas
+    # separator is the certificate, on float and on rational entries.
+    float_program = feasibility._max_min_weight
+
+    def flipped(g):
+        prog = float_program(g)
+        return prog if prog.h is None else prog._replace(h=-prog.h)
+
+    monkeypatch.setattr(feasibility, "_max_min_weight", flipped)
+    f, rational = _thirds_cone_frame(0)
+    for frame, entries in ((_cone_frame(1, 3, 6), None), (f, rational)):
+        sep = fs.decide(frame, mode="exact", rational=entries).certificate
+        assert max(map(abs, sep.h_exact)) == 1
+        assert sep.margin_exact == _fraction_margin(frame, sep.h_exact,
+                                                    entries) > 0
+
+
 # --- cross-route invariants ---------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(25))

@@ -81,6 +81,18 @@ def test_outer_dims_generic_gaussian():
     assert exact.rank_exact(rows) == 6
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_outer_rows_equal_the_svec_of_each_outer_product(n):
+    # The rows are built for all columns at once; they must be bit-equal
+    # to svec of each outer product, in the frame's and a subset's order.
+    f = fs.random_frame(n, 3 * n, seed=n)
+    rows = np.vstack([fs.svec(np.outer(c, c)) for c in f.columns])
+    assert np.array_equal(fs.fmap.outer_svec_rows(f), rows)
+    subset = (n, 0, 2)
+    assert np.array_equal(fs.fmap.outer_svec_rows(f, subset),
+                          rows[list(subset)])
+
+
 def test_q_matrix_two_dims_layout():
     q = fs.q_matrix(np.array([3.0, 4.0]))
     np.testing.assert_allclose(q.matrix, [[3.0, 2.0], [2.0, -3.0]])

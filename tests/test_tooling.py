@@ -2,7 +2,8 @@
 it wraps, so an API cut that removes a traced name fails here rather than
 at ``--trace 1``; the package keeps no unused module-level import and
 no private top-level definition that nothing references; only
-``feasibility`` imports the LP engine ``simplex``; one function starts
+``feasibility`` imports the LP engine ``simplex``; only ``exact`` builds
+exact columns and F-images; one function starts
 phase 2 from a basis; one function walks the candidate subsets of the
 subset queries; README's command-line table lists the options each
 command takes; and every committed
@@ -111,6 +112,27 @@ def test_only_feasibility_imports_the_lp_engine():
             if any(m.split(".")[-1] == "simplex" for m in modules):
                 importers.add(name)
     assert importers == {"feasibility.py"}
+
+
+def test_only_exact_builds_exact_columns_and_images():
+    # Every exact caller reads the integer columns and F-image that
+    # exact.py builds (integer_columns, f_image_exact); no other module
+    # names the column-wise Fraction builders.
+    builders = {"to_fractions", "frame_to_fractions", "f_vector_exact"}
+    users = set()
+    for name, tree in parsed_modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                named = {node.id}
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr}
+            else:
+                continue
+            if named & builders:
+                users.add(name)
+    assert users == {"exact.py"}
 
 
 def test_one_function_starts_phase_2_from_a_basis():

@@ -117,27 +117,16 @@ def f_image_exact(cols: list[list[int]], den: int, subset) -> Image:
     return Image(g.T, den * den)
 
 
-def norm2_exact(x: list[Fraction]) -> Fraction:
-    return sum((v * v for v in x), Fraction(0))
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    out = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * den) for v in row])
-    return out
-
-
 def fraction_free_echelon(rows) -> tuple[list[list[int]], list[int]]:
     """Bareiss row echelon form of a rational matrix.
 
-    Rows are first scaled to integers (which leaves the kernel unchanged);
-    every division in the Bareiss update is exact, so the echelon form is
-    exact integer data.  Returns the echelon matrix and the pivot columns.
+    Each row of ints, floats or ``Fraction``s is first scaled to integers
+    over its least common denominator (``integers``), which leaves the
+    kernel unchanged; every division in the Bareiss update is exact, so the
+    echelon form is exact integer data.  Returns the echelon matrix and the
+    pivot columns.
     """
-    mat = _integer_rows(rows)
+    mat = [integers(row)[0] for row in rows]
     if not mat:
         return [], []
     m, n = len(mat), len(mat[0])

@@ -58,7 +58,11 @@ Each certificate rule is stated once, here:
   |h|_inf = 1 (``separator_margin``).  A float separator whose margin is
   at most ``DEFAULT_BOUNDARY_BAND`` is flagged and checked in rationals;
   when that check fails, it is re-decided by the rational LP if at most
-  ``EXACT_CAP`` columns are active.
+  ``EXACT_CAP`` columns are active;
+- the point of an affine hull nearest the origin is computed by one
+  kernel, ``_nearest_points``, and a direction clears a column by one band
+  rule, ``_clears``; the subset walk of ``subsets`` runs both on chunks of
+  candidates.
 
 ``separator_search`` runs Wolfe's algorithm on to the minimum-norm point,
 the separator of largest margin at |h|_2 = 1 (Wolfe's algorithm is the
@@ -197,13 +201,34 @@ def _active_columns(frame: Frame, subset) -> tuple:
     return subset if active == subset else active  # a separator shares it
 
 
-def _shifted_gram_inverse(rs: np.ndarray):
-    """K^-1 for K = rs rs' + 1 1' (a pseudo-inverse when K is singular) and
-    the condition number of K, from one eigendecomposition."""
-    vals, vecs = np.linalg.eigh(rs @ rs.T + 1.0)
-    keep = vals > 1e-15 * vals[-1]  # the cutoff of numpy's pinv
-    kinv = (vecs[:, keep] / vals[keep]) @ vecs[:, keep].T
-    return kinv, vals[-1] / vals[0] if vals[0] > 0.0 else np.inf
+def _nearest_points(r: np.ndarray):
+    """The point nearest the origin of the affine hull of a candidate, or
+    of each of a stack of them, given by the rows r of its transformed
+    columns: one batched ``np.linalg.solve`` of K y = 1, with
+    K = r r' / c + 1 1' and c the candidate's largest squared row norm.  K is positive definite
+    exactly when the candidate's columns are affinely independent.  Returns
+    the points x = mu r of the affine weights mu = y / 1'y, or None when
+    some candidate has a zero column or some K is exactly singular."""
+    k = r @ r.swapaxes(-1, -2)
+    sq = k.diagonal(axis1=-2, axis2=-1)
+    if not (sq > 0.0).all():
+        return None
+    k /= sq.max(axis=-1)[..., None, None]
+    k += 1.0
+    try:
+        y = np.linalg.solve(k, np.ones(k.shape[:-1] + (1,)))[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    mu = y / y.sum(axis=-1, keepdims=True)
+    return (mu[..., None, :] @ r)[..., 0, :]
+
+
+def _clears(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The columns of g that the direction x, or each of a stack of them,
+    clears: <x, g_k> > ``DEFAULT_BOUNDARY_BAND`` |x|_inf.  This is the band
+    rule of every float separator, and x separates the columns it clears."""
+    return x @ g > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x), axis=-1,
+                                                  keepdims=True)
 
 
 def _affine_weights(rs: np.ndarray, kinv: np.ndarray):
@@ -235,7 +260,9 @@ def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
     one leaves, each in O(|S|^2), and K^-1 1 gets one step of iterative
     refinement against K.  When the bordered pivot (a Schur complement)
     or the residual that refinement corrects shows that the kept inverse
-    has lost accuracy, K^-1 is recomputed from the corral; ``refreshes``
+    has lost accuracy, K^-1 is recomputed from the corral as the
+    pseudo-inverse of ``np.linalg.pinv`` (an eigendecomposition whose
+    eigenvalues below 1e-15 of the largest count as zero); ``refreshes``
     counts those times.
     ``stop`` says why it ended:
 
@@ -299,7 +326,7 @@ def _wolfe(g: np.ndarray, band=DEFAULT_BOUNDARY_BAND) -> Wolfe:
             kinv = bordered
         while True:
             if fresh:
-                kinv = _shifted_gram_inverse(rs)[0]
+                kinv = np.linalg.pinv(rs @ rs.T + 1.0, hermitian=True)
             mu, held = _affine_weights(rs, kinv)
             if not (fresh or held):
                 fresh = True
@@ -360,11 +387,13 @@ def _least_norm(g: np.ndarray) -> WeightProgram | None:
     only for k <= d columns, is the separator when its margin clears
     ``DEFAULT_BOUNDARY_BAND``.
 
-    For k <= d + 1 columns, mu = K^-1 1 / 1'K^-1 1 with K = g'g / c + 1 1'
-    (``_affine_weights``), and K past ``WOLFE_MAX_COND`` (affinely
-    dependent columns) declines.  At the origin, mu is then the only point
-    of {g u = 0, sum u = 1}; k = d + 1 columns solve for it from the square
-    [g; 1'] mu = e, whose condition number is the square root of K's.  When
+    For k <= d + 1 columns, x comes from ``_nearest_points``, the kernel
+    that the subset walk runs on whole chunks, and a K that is exactly
+    singular declines.  At the origin, mu is the only point of
+    {g u = 0, sum u = 1} when the columns are affinely independent, and
+    one least-squares solve of a mu = e, a = [g / sqrt(c); 1'], gives it.
+    K = a'a, so the singular values of a give K's condition number, and
+    past ``WOLFE_MAX_COND`` (affinely dependent columns) it declines.  When
     mu >= 0 the weight polytope is {mu}: weights up to ``WOLFE_POS_TOL``
     become zero, as Wolfe drops them from his corral, and s* = min mu, with
     no LP.  A negative weight declines.
@@ -391,26 +420,23 @@ def _least_norm(g: np.ndarray) -> WeightProgram | None:
     scale = np.max(np.einsum("ij,ij->j", g, g))
     if scale == 0.0:  # d = 0, or every column underflowed to the origin
         return None
+    a = np.vstack([g / np.sqrt(scale), np.ones(k)])
     if k <= d + 1:
-        rs = g.T / np.sqrt(scale)
-        kinv, cond = _shifted_gram_inverse(rs)
-        if cond > WOLFE_MAX_COND:
+        x = _nearest_points(g.T)
+        if x is None:
             return None
-        mu = _affine_weights(rs, kinv)[0]
-        x = g @ mu
         if x @ x > WOLFE_ZERO_TOL * scale:
-            if np.min(x @ g) > DEFAULT_BOUNDARY_BAND * np.max(np.abs(x)):
+            if _clears(x, g).all():
                 return WeightProgram(None, None, x, "least-norm separator")
             return None
-        if k == d + 1:  # [g; 1'] is square: solve it at its own condition
-            mu = np.linalg.solve(np.vstack([rs.T, np.ones(k)]), np.eye(k)[-1])
-        if np.min(mu) < -WOLFE_POS_TOL:
+        mu, _, _, sv = np.linalg.lstsq(a, np.eye(d + 1)[-1], rcond=None)
+        if sv[0] ** 2 > WOLFE_MAX_COND * sv[-1] ** 2 or \
+                np.min(mu) < -WOLFE_POS_TOL:
             return None
         u = np.where(mu > WOLFE_POS_TOL, mu, 0.0)
         u /= u.sum()
         return WeightProgram(u, np.min(u), None, "least-norm weights")
     u = w / np.sum(w)
-    a = np.vstack([g / np.sqrt(scale), np.ones(k)])
     # a' = Q R: the last k - d - 1 columns of Q lie in the kernel of a.
     q = np.linalg.qr(a.T, mode="complete")[0]
     corral = _caratheodory_push(u, q[:, d + 1:].T)
@@ -865,7 +891,7 @@ def _exact_weights_to_scaling(frame: Frame, active, columns,
     cols, den = columns
     total = sum(u_active, Fraction(0))
     u_norm = [v / total for v in u_active]
-    scaled = sum((u * exact.norm2_exact(cols[k])
+    scaled = sum((u * sum(v * v for v in cols[k])
                   for u, k in zip(u_norm, active)), Fraction(0)) / frame.n
     # The tightness identity must hold literally in rational arithmetic;
     # on the columns D phi_k its constant is D^2 alpha.

@@ -15,7 +15,9 @@ subset of the columns h clears.  Frames of small redundancy are scalable
 only on a nowhere dense set, so almost every candidate of at most d
 columns has an affine hull that misses the origin, and its point x
 nearest the origin is such an h.  In float mode the walk finds those x
-for many candidates with one batched solve (``_separated``).  It keeps,
+for many candidates with one batched solve (``_separated``), which is
+``decide``'s own least-norm kernel and band rule in ``feasibility``, so
+this module holds no least-norm solve and no band of its own.  It keeps,
 for each x that certifies its own candidate and for each separator of an
 earlier ``decide``, the boolean row of the columns it clears, and rejects
 without an LP every candidate that lies inside a kept row.  That test is
@@ -34,8 +36,9 @@ import numpy as np
 
 from . import exact
 from .errors import BudgetExceeded, DimensionMismatch, NumericalStall
-from .feasibility import (DEFAULT_BOUNDARY_BAND, WOLFE_POS_TOL, Separator,
-                          Verdict, _caratheodory_push, decide)
+from .feasibility import (WOLFE_POS_TOL, Separator, Verdict,
+                          _caratheodory_push, _clears, _nearest_points,
+                          decide)
 from .fmap import f_image
 from .frames import (Frame, ScalingWeights, _rank_of_singular_values,
                      make_weights)
@@ -84,9 +87,9 @@ class _SubsetSearch:
     rejected without an LP.  Only maximal rows are kept, since a candidate
     under a dropped row is under the row that dropped it.  A separator of
     ``decide`` is kept as the normalized ``Separator.h`` in float mode,
-    with ``DEFAULT_BOUNDARY_BAND`` as the threshold, the margin ``decide``
-    accepts a float separator with, so a candidate on which h falls inside
-    the band still goes to ``decide``.  Exact mode keeps
+    with the band rule of ``decide`` (``feasibility._clears``) as the
+    threshold, so a candidate on which h falls inside the band still goes
+    to ``decide``.  Exact mode keeps
     ``Separator.h_exact``, scaled to integers, with threshold 0 over the
     integer F-image of ``exact.f_image_exact``, so every rejection is a
     proof.
@@ -96,10 +99,10 @@ class _SubsetSearch:
     ``CHUNK_CAP``.  Each chunk is tested against the rows at once.  In
     float mode, the candidates of at most d columns, the ones whose affine
     hull generically misses the origin, that no row rejects go to
-    ``_separated``: first an evenly spread sample of ``CHUNK_SAMPLE`` of
-    them, then those that the sample's rows leave.  The row of each
-    least-norm point x it certifies is kept, with threshold
-    ``DEFAULT_BOUNDARY_BAND`` |x|_inf, so one x rejects every candidate
+    ``_separated``, ``decide``'s least-norm kernel on a batch: first an
+    evenly spread sample of ``CHUNK_SAMPLE`` of them, then those that the
+    sample's rows leave.  The row of each least-norm point x it certifies
+    is kept, by the same band rule, so one x rejects every candidate
     inside the columns it clears, not only its own.  The F-image is built
     when the walk or the first separator needs it.
     """
@@ -171,7 +174,7 @@ class _SubsetSearch:
         if self.mode == "exact":
             h = np.array(exact.integers(sep.h_exact)[0], dtype=object)
             return (h @ self._image() > 0).astype(bool)
-        return sep.h @ self._image() > DEFAULT_BOUNDARY_BAND
+        return _clears(sep.h, self._image())
 
     def _image(self) -> np.ndarray:
         """The F-image of the frame, over the integers in exact mode."""
@@ -221,31 +224,19 @@ def _separated(g: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     ``chunk``, of at most d columns), false throughout for a candidate it
     does not certify.
 
-    For a candidate with transformed columns R' and largest squared column
-    norm c, one batched solve gives y = K^-1 1 with K = R R' + c 1 1',
-    and x = R' y / 1'y is the point of its affine hull nearest the origin
-    (``feasibility._least_norm`` solves the system divided by c).  Its
-    row is <x, g_k> > ``DEFAULT_BOUNDARY_BAND`` |x|_inf over all columns
-    k, the margin rule of ``decide`` and of the kept rows, and the
-    candidate is certified when its own columns are all in the row; that
-    test re-verifies x, however accurate y is.  A chunk with a zero
-    column, a singular K or a non-finite x certifies nothing.
+    One call of ``decide``'s kernel, ``feasibility._nearest_points``, on the
+    whole chunk gives each candidate's point x of its affine hull nearest
+    the origin, and its row is the columns of g that x clears by
+    ``feasibility._clears``, the band rule of ``decide`` and of the kept
+    rows.  The candidate is certified when its own columns are all in the
+    row; that test re-verifies x, however accurate the solve is.  A chunk
+    with a zero column or an exactly singular K certifies nothing, and
+    neither does a candidate whose x is not finite.
     """
-    none = np.zeros((len(chunk), g.shape[1]), dtype=bool)
-    r = g.T[chunk]
-    k = r @ r.transpose(0, 2, 1)
-    sq = k.diagonal(axis1=1, axis2=2)
-    if not (sq > 0.0).all():
-        return none
-    k += sq.max(axis=1)[:, None, None]
-    try:
-        y = np.linalg.solve(k, np.ones(chunk.shape + (1,)))
-    except np.linalg.LinAlgError:
-        return none
-    x = (y.transpose(0, 2, 1) @ r)[:, 0] / y.sum(axis=1)
-    if not np.isfinite(x).all():
-        return none
-    rows = x @ g > DEFAULT_BOUNDARY_BAND * np.abs(x).max(axis=1, keepdims=True)
+    x = _nearest_points(g.T[chunk])
+    if x is None:
+        return np.zeros((len(chunk), g.shape[1]), dtype=bool)
+    rows = _clears(x, g)
     rows &= rows[np.arange(len(chunk))[:, None], chunk].all(axis=1,
                                                            keepdims=True)
     return rows

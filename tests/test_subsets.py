@@ -569,7 +569,10 @@ CERTIFY_FRAMES = {
 }
 
 
-def _assert_certified_are_separated(f, sizes):
+def _assert_certified_are_separated(f, sizes, caplog):
+    """Every candidate that ``_separated`` certifies is separated by
+    ``decide`` through the least-norm route, with the kernel's own point:
+    the walk and ``decide`` share one kernel and one band rule."""
     g = fs.f_image(f).matrix
     certified = separated = 0
     for size in sizes:
@@ -578,33 +581,42 @@ def _assert_certified_are_separated(f, sizes):
         # A certified candidate lies inside its own row; the others get none.
         own = rows[np.arange(len(chunk))[:, None], chunk].all(axis=1)
         np.testing.assert_array_equal(own, rows.any(axis=1))
-        for idx, cert in zip(chunk, own):
-            v = fs.decide(f, idx)
+        x = feasibility._nearest_points(g.T[chunk])
+        for idx, cert, xi in zip(chunk, own, x):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger=feasibility.__name__):
+                v = fs.decide(f, idx)
             is_separated = isinstance(v.certificate, fs.Separator)
             separated += is_separated
             if cert:
                 assert is_separated and not v.scalable, tuple(idx)
                 assert not v.boundary_flag, tuple(idx)
+                [rec] = caplog.records
+                assert rec.getMessage().endswith(": least-norm separator")
+                np.testing.assert_allclose(v.certificate.h,
+                                           xi / np.max(np.abs(xi)),
+                                           rtol=0, atol=1e-12)
                 certified += 1
     return certified, separated
 
 
 @pytest.mark.parametrize("name", CERTIFY_FRAMES)
-def test_every_certified_candidate_is_separated_by_decide(name):
+def test_every_certified_candidate_is_separated_by_decide(name, caplog):
     f = CERTIFY_FRAMES[name]()
-    certified, separated = _assert_certified_are_separated(f, (9, 6))
+    certified, separated = _assert_certified_are_separated(f, (9, 6), caplog)
     # Not vacuous: the test certifies all but a few separated candidates.
     assert certified >= 0.9 * separated > 0
 
 
 @pytest.mark.parametrize("name", [name for name in BRUTE_FRAMES
                                   if name != "zero-column"])
-def test_every_certified_brute_force_candidate_is_separated(name, request):
+def test_every_certified_brute_force_candidate_is_separated(name, request,
+                                                           caplog):
     make = BRUTE_FRAMES[name]
     f = make() if make else request.getfixturevalue(name)
     d = fs.f_image(f).matrix.shape[0]
     sizes = range(f.n, min(d, f.m) + 1)
-    certified, separated = _assert_certified_are_separated(f, sizes)
+    certified, separated = _assert_certified_are_separated(f, sizes, caplog)
     assert certified <= separated
 
 

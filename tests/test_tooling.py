@@ -3,7 +3,8 @@ it wraps, so an API cut that removes a traced name fails here rather than
 at ``--trace 1``; the package keeps no unused module-level import and
 no private top-level definition that nothing references; only
 ``feasibility`` imports the LP engine ``simplex``; only ``exact`` builds
-exact columns and F-images; one function starts
+exact columns and F-images; ``decide`` and the subset walk share one
+least-norm kernel and one band rule; one function starts
 phase 2 from a basis; one function walks the candidate subsets of the
 subset queries; README's command-line table lists the options each
 command takes; and every committed
@@ -114,25 +115,42 @@ def test_only_feasibility_imports_the_lp_engine():
     assert importers == {"feasibility.py"}
 
 
+def names_in_code(tree):
+    """Every name that code in the module imports, loads or reads as an
+    attribute; docstrings and comments name nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
 def test_only_exact_builds_exact_columns_and_images():
     # Every exact caller reads the integer columns and F-image that
     # exact.py builds (integer_columns, f_image_exact); no other module
     # names the column-wise Fraction builders.
     builders = {"to_fractions", "frame_to_fractions", "f_vector_exact"}
-    users = set()
-    for name, tree in parsed_modules().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                named = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Name):
-                named = {node.id}
-            elif isinstance(node, ast.Attribute):
-                named = {node.attr}
-            else:
-                continue
-            if named & builders:
-                users.add(name)
+    users = {name for name, tree in parsed_modules().items()
+             if builders & set(names_in_code(tree))}
     assert users == {"exact.py"}
+
+
+def test_decide_and_the_walk_share_one_kernel_and_one_band():
+    # feasibility._nearest_points is the one least-norm solve and
+    # feasibility._clears the one band rule: no other module names the
+    # band in code, and subsets.py calls no solver of its own.
+    modules = parsed_modules()
+    band_users = {name for name, tree in modules.items()
+                  if "DEFAULT_BOUNDARY_BAND" in names_in_code(tree)}
+    solvers = [node.attr for node in ast.walk(modules["subsets.py"])
+               if isinstance(node, ast.Attribute)
+               and node.attr in {"solve", "eigh", "pinv"}
+               and isinstance(node.value, ast.Attribute)
+               and node.value.attr == "linalg"]
+    assert band_users == {"feasibility.py"}
+    assert not solvers
 
 
 def test_one_function_starts_phase_2_from_a_basis():
